@@ -9,6 +9,7 @@ from .errors import (
     MissingColimitError,
     OverflowLimitError,
     SchemaError,
+    SizeLimitError,
 )
 from .mspace import (
     BmsMorphism,
@@ -31,6 +32,7 @@ __all__ = [
     "MathDomainError",
     "DivisibilityError",
     "OverflowLimitError",
+    "SizeLimitError",
     "MissingColimitError",
     "MultiSpace",
     "BmsMorphism",

@@ -3,8 +3,10 @@
 All commands read and write the package's JSON formats on files and stdout;
 ``export-dot`` emits Graphviz text instead.  Exit codes: 0 ok, 1 I/O error,
 2 schema violation (including malformed JSON and bad arguments), 3
-mathematical domain error (divisibility or overflow), 4 verification
-failure.  Randomized commands take --seed and default to seed 0.
+mathematical domain error (divisibility, overflow or a size limit), 4
+verification failure, 5 internal error (any other exception, such as
+running out of memory).  Every error is one JSON line on stderr with an
+empty stdout.  Randomized commands take --seed and default to seed 0.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ EXIT_IO = 1
 EXIT_SCHEMA = 2
 EXIT_MATH = 3
 EXIT_VERIFY = 4
+EXIT_INTERNAL = 5
 
 _EPILOG = """exit codes:
   0  success
   1  I/O error (unreadable or unwritable file)
   2  schema violation (malformed JSON, bad arguments, mismatched objects)
-  3  math-domain error (divisibility failure, overflow)
+  3  math-domain error (divisibility failure, overflow, size limit)
   4  verification failure (a law sweep or demo found violations)
+  5  internal error (out of memory, recursion depth, any other failure)
 """
 
 
@@ -62,18 +66,23 @@ def _emit(data: object) -> None:
     print(json.dumps(data, sort_keys=False))
 
 
+def _dot_quote(text: str) -> str:
+    """A DOT double-quoted string holding ``text`` literally."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(m: BmsMorphism) -> str:
     """Two clusters of label:mult nodes, edges labeled with zeta values."""
     lines = ["digraph bms_morphism {", "  rankdir=LR;"]
     lines.append("  subgraph cluster_dom {")
     lines.append('    label="dom";')
     for i, (lab, mult) in enumerate(zip(m.dom.labels, m.dom.mults)):
-        lines.append(f'    d{i} [label="{lab}:{mult}"];')
+        lines.append(f"    d{i} [label={_dot_quote(f'{lab}:{mult}')}];")
     lines.append("  }")
     lines.append("  subgraph cluster_cod {")
     lines.append('    label="cod";')
     for j, (lab, mult) in enumerate(zip(m.cod.labels, m.cod.mults)):
-        lines.append(f'    c{j} [label="{lab}:{mult}"];')
+        lines.append(f"    c{j} [label={_dot_quote(f'{lab}:{mult}')}];")
     lines.append("  }")
     for i, (tgt, z) in enumerate(zip(m.targets, m.zetas)):
         j = m.cod.index(tgt)
@@ -233,6 +242,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(json.dumps({"error": str(exc), "kind": "io"}), file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:  # the process boundary: no traceback escapes
+        print(json.dumps({"error": f"{type(exc).__name__}: {exc}", "kind": "internal"}), file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

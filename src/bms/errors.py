@@ -26,5 +26,10 @@ class OverflowLimitError(MathDomainError):
     """A computed integer exceeded the checked machine-width bound."""
 
 
+class SizeLimitError(MathDomainError):
+    """A request exceeds a documented size limit; refused before any work
+    or allocation that would grow with it."""
+
+
 class MissingColimitError(BmsError):
     """Raised for colimit constructions the category does not admit."""

@@ -285,6 +285,8 @@ def check_gamma_laws(groups: Sequence[SpeckerGroup]) -> list[str]:
         report = mv.verify_mv_axioms(algebra)
         if not report["pass"]:
             failures.append(f"axioms fail for unit {g.base.mults}: {report['violations']}")
+        if mv.verify_mv_axioms_exhaustive(algebra)["pass"] != report["pass"]:
+            failures.append(f"per-chain and exhaustive axiom verdicts disagree for unit {g.base.mults}")
         fibers = mv.fiber_decomposition(algebra)
         total = 1
         seen_points: list[str] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from .duality import dual_hom, function_group
 from .errors import MissingColimitError, SchemaError
@@ -146,14 +146,14 @@ def initial() -> MultiSpace:
     return new_space([], [])
 
 
-def pushout(f: BmsMorphism, g: BmsMorphism) -> Cone:
+def pushout(f: BmsMorphism, g: BmsMorphism) -> NoReturn:
     raise MissingColimitError(
         "boolean multispaces lack general pushouts; "
         "run `bms omega demo --which pushout` for the obstruction"
     )
 
 
-def coequalizer(f: BmsMorphism, g: BmsMorphism) -> Cone:
+def coequalizer(f: BmsMorphism, g: BmsMorphism) -> NoReturn:
     raise MissingColimitError(
         "boolean multispaces lack general coequalizers; "
         "run `bms omega demo --which pushout` for the obstruction"

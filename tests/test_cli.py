@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from bms import cli
 from bms.cli import main
 
 SPACE_AB = {"points": [{"label": "a", "mult": 1}, {"label": "b", "mult": 2}]}
@@ -165,6 +167,40 @@ def test_gamma_report(tmp_path, capsys):
     }
 
 
+def test_gamma_answers_without_enumerating(tmp_path, capsys):
+    unit = {"points": [{"label": f"p{i}", "mult": 6} for i in range(4)]}
+    path = write(tmp_path, "g6.json", {"space": unit})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "gamma", path)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    report = json.loads(out)
+    assert report["cardinality"] == 2401 and report["axioms"] == "pass"
+
+
+def test_gamma_above_chain_limit_is_math_domain_error(tmp_path, capsys):
+    unit = {"points": [{"label": "a", "mult": 2**40}, {"label": "b", "mult": 2**40}]}
+    path = write(tmp_path, "huge.json", {"space": unit})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gamma", path)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "math-domain"
+
+
+def test_unexpected_error_is_internal(monkeypatch, capsys):
+    def boom(args):
+        raise MemoryError("no room")
+
+    monkeypatch.setattr(cli, "_run", boom)
+    code, out, err = run(capsys, "laws")
+    assert code == cli.EXIT_INTERNAL
+    assert code not in (cli.EXIT_OK, cli.EXIT_IO, cli.EXIT_SCHEMA, cli.EXIT_MATH, cli.EXIT_VERIFY)
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err) == {"error": "MemoryError: no room", "kind": "internal"}
+
+
 def test_laws_small(capsys):
     code, out, _ = run(capsys, "laws", "--max-points", "2", "--max-mult", "2")
     assert code == 0
@@ -201,6 +237,17 @@ def test_export_dot(tmp_path, capsys):
     assert code == 0
     assert out.count("label=") == 5  # 2 cluster labels, 2 nodes, 1 edge
     assert '[label="1"]' in out
+
+    quoted = {
+        "dom": {"points": [{"label": 'a"b', "mult": 2}, {"label": "c\\", "mult": 2}]},
+        "cod": SPACE_V2,
+        "map": {'a"b': "v", "c\\": "v"},
+    }
+    path = write(tmp_path, "quoted.json", quoted)
+    code, out, _ = run(capsys, "export-dot", path)
+    assert code == 0
+    assert 'd0 [label="a\\"b:2"]' in out
+    assert 'd1 [label="c\\\\:2"]' in out
 
     empty = {"dom": {"points": []}, "cod": {"points": []}, "map": {}}
     path = write(tmp_path, "empty.json", empty)

@@ -1,13 +1,21 @@
 import itertools
+import math
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bms.duality import dual_hom, enumerate_lhoms, function_group
-from bms.errors import SchemaError
+from bms.errors import SchemaError, SizeLimitError
 from bms.laws import all_groups, check_gamma_laws
 from bms.limits import group_product
 from bms.mspace import new_morphism, new_space
 from bms.mv import (
+    _table_violations,
+    CHAIN_LIMIT,
+    EXHAUSTIVE_CAP,
     FiberComponent,
     cardinality,
     contains,
@@ -20,6 +28,7 @@ from bms.mv import (
     unit_interval_algebra,
     unit_interval_hom,
     verify_mv_axioms,
+    verify_mv_axioms_exhaustive,
 )
 from bms.sgroup import SpeckerGroup
 
@@ -83,8 +92,62 @@ def _naive_axiom_check(algebra):
 def test_axioms_pass_and_match_naive_oracle(mults):
     algebra = alg(*mults)
     report = verify_mv_axioms(algebra)
-    assert report["pass"] and report["violations"] == []
+    assert report == {"cardinality": math.prod(u + 1 for u in mults), "violations": [], "pass": True}
+    assert verify_mv_axioms_exhaustive(algebra) == report
     assert _naive_axiom_check(algebra)
+
+
+def test_per_chain_verdict_matches_exhaustive_oracle():
+    for g in all_groups(3, 4):
+        algebra = unit_interval_algebra(g)
+        assert verify_mv_axioms(algebra) == verify_mv_axioms_exhaustive(algebra), g.base.mults
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.lists(st.integers(1, 6), max_size=4).filter(
+        lambda us: math.prod(u + 1 for u in us) <= EXHAUSTIVE_CAP
+    )
+)
+def test_per_chain_verdict_matches_oracle_on_random_units(mults):
+    algebra = alg(*mults)
+    assert verify_mv_axioms(algebra) == verify_mv_axioms_exhaustive(algebra)
+
+
+@pytest.mark.parametrize("plus_edits, neg, equation", [
+    ({(2, 0): 3, (0, 2): 3}, None, "x (+) 0 = x"),
+    ({(3, 1): 0, (1, 3): 0}, None, "x (+) neg 0 = neg 0"),
+    ({}, [3, 2, 0, 1], "neg neg x = x"),
+    ({(1, 2): 2}, None, "commutativity"),
+    ({(1, 1): 3}, None, "exchange equation"),
+    ({(1, 2): 2, (2, 1): 2}, None, "associativity"),
+])
+def test_chain_kernel_reports_each_broken_equation(plus_edits, neg, equation):
+    idx = np.arange(4)
+    plus = np.minimum(idx[:, None] + idx[None, :], 3)
+    assert _table_violations(plus, 3 - idx, "on [0,3]") == []
+    for cell, value in plus_edits.items():
+        plus[cell] = value
+    neg = 3 - idx if neg is None else np.array(neg)
+    assert any(v.startswith(equation) for v in _table_violations(plus, neg, "on [0,3]"))
+
+
+def test_chain_limit():
+    assert verify_mv_axioms(alg(CHAIN_LIMIT, 1))["pass"]
+    with pytest.raises(SizeLimitError):
+        verify_mv_axioms(alg(1, CHAIN_LIMIT + 1))
+
+
+def test_exhaustive_oracle_refuses_above_cap_without_allocating():
+    tracemalloc.start()
+    try:
+        for mults in [(EXHAUSTIVE_CAP,), (2**40, 2**40)]:
+            with pytest.raises(SizeLimitError):
+                verify_mv_axioms_exhaustive(alg(*mults))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_fiber_decomposition_examples():
