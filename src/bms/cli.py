@@ -53,6 +53,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_SCHEMA)
 
 
+def _nonnegative_int(text: str) -> int:
+    """An argparse type for a bound: a decimal integer >= 0."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _load(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -142,7 +149,7 @@ def _build_parser() -> _Parser:
     om_sub = om.add_subparsers(dest="action", required=True)
     demo = om_sub.add_parser("demo")
     demo.add_argument("--which", required=True, choices=["not-specker", "power", "pushout"])
-    demo.add_argument("--bound", type=int, default=16)
+    demo.add_argument("--bound", type=_nonnegative_int, default=16)
     demo.add_argument("--seed", type=int, default=0)
 
     dot = sub.add_parser("export-dot", help="render a morphism as Graphviz text")

@@ -12,7 +12,8 @@ import random
 from typing import Iterator, Sequence
 
 from . import duality, limits, mv, omega, sgroup
-from .ints import checked_lcm
+from .errors import SchemaError, SizeLimitError
+from .ints import checked, checked_lcm
 from .mspace import (
     BmsMorphism,
     MultiSpace,
@@ -25,6 +26,12 @@ from .mspace import (
 from .sgroup import GroupElement, SpeckerGroup
 
 _LABELS = ("p1", "p2", "p3", "p4", "p5", "p6")
+# Most spaces ``run_laws`` sweeps, counted by the closed form of
+# ``all_spaces``: sum of max_mult**n for n <= max_points.  (3, 4) has 85
+# spaces and takes about 10 s on a 2-core Xeon.  The count does not bound
+# the morphism checks, which also grow with the points per space: (4, 2)
+# has 31 spaces and takes about 29 s.
+LAWS_UNIVERSE_CAP = 100
 
 __all__ = [
     "all_spaces",
@@ -45,6 +52,7 @@ __all__ = [
     "check_hyperarch",
     "check_stone_restriction",
     "run_laws",
+    "LAWS_UNIVERSE_CAP",
 ]
 
 
@@ -72,8 +80,16 @@ def random_spaces(count: int, n_points: int, max_mult: int, seed: int = 0) -> li
 
 
 def box_elements(group: SpeckerGroup, lo: int, hi: int) -> Iterator[GroupElement]:
+    """Every element with all values in [lo, hi], in lexicographic order.
+
+    The two bounds are checked against ``INT_LIMIT`` before the first
+    element, so the elements themselves need no further check.
+    """
+    checked(lo, "box bound")
+    checked(hi, "box bound")
+    trusted = GroupElement._trusted
     for vals in itertools.product(range(lo, hi + 1), repeat=len(group.base)):
-        yield GroupElement(group, vals)
+        yield trusted(group, vals)
 
 
 # -- category structure -------------------------------------------------------
@@ -353,11 +369,12 @@ def check_ideal_correspondence(groups: Sequence[SpeckerGroup], box: int = 2) -> 
                 failures.append(f"zeroset round trip fails at {set(z)}")
             if sgroup.is_maximal(ideal) != sgroup.is_maximal_by_criterion(ideal):
                 failures.append(f"maximality tests disagree at {set(z)}")
+        elements = list(box_elements(g, -box, box))
         for z1, z2 in itertools.product(subsets, repeat=2):
             if z1 <= z2:
                 i1 = sgroup.ideal_from_zeroset(g, z1)
                 i2 = sgroup.ideal_from_zeroset(g, z2)
-                for f in box_elements(g, -box, box):
+                for f in elements:
                     if i2.contains(f) and not i1.contains(f):
                         failures.append(f"inclusion reversal fails at {set(z1)},{set(z2)}")
                         break
@@ -409,7 +426,25 @@ def check_stone_restriction(spaces: Sequence[MultiSpace]) -> list[str]:
 # -- aggregate entry point -----------------------------------------------------
 
 def run_laws(max_points: int = 2, max_mult: int = 3, seed: int = 0) -> dict:
-    """Run every sweep at the given bounds and aggregate the failures."""
+    """Run every sweep at the given bounds and aggregate the failures.
+
+    The bounds are checked before anything is enumerated: a negative point
+    count or a multiplicity bound below 1 is a ``SchemaError``; more points
+    than there are labels, or a universe of more than ``LAWS_UNIVERSE_CAP``
+    spaces, is a ``SizeLimitError``.
+    """
+    if max_points < 0 or max_mult < 1:
+        raise SchemaError(
+            f"laws bounds need max_points >= 0 and max_mult >= 1, got {max_points} and {max_mult}"
+        )
+    if max_points > len(_LABELS):
+        raise SizeLimitError(f"max_points {max_points} exceeds the {len(_LABELS)} available labels")
+    size = sum(max_mult**n for n in range(max_points + 1))
+    if size > LAWS_UNIVERSE_CAP:
+        raise SizeLimitError(
+            f"bounds ({max_points}, {max_mult}) give {size} spaces, "
+            f"more than the limit of {LAWS_UNIVERSE_CAP}"
+        )
     spaces = all_spaces(max_points, max_mult)
     small = [x for x in spaces if len(x) <= 2]
     groups = all_groups(max_points, max_mult)

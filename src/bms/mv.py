@@ -105,10 +105,14 @@ def mv_neg(x: GroupElement) -> GroupElement:
 
 
 def elements(algebra: SpeckerMV) -> Iterator[GroupElement]:
-    """All unit-interval elements, in lexicographic value order."""
+    """All unit-interval elements, in lexicographic value order.
+
+    Their values lie between 0 and the validated multiplicities, so they
+    are built without a further check.
+    """
     ranges = [range(u + 1) for u in algebra.group.base.mults]
     for vals in itertools.product(*ranges):
-        yield GroupElement(algebra.group, vals)
+        yield GroupElement._trusted(algebra.group, vals)
 
 
 def cardinality(algebra: SpeckerMV) -> int:

@@ -5,16 +5,28 @@ multiplicity function as its distinguished unit.  Elements support pointwise
 group and lattice operations; maximal ideals correspond to points, closed-set
 ideals to subsets of points, and unital l-homomorphisms to nonnegative
 integer matrices with a single positive entry per row.
+
+Element values are validated once, where they enter: calling
+``GroupElement`` (and so ``SpeckerGroup.element`` and ``element_from_dict``)
+checks the length and that every value is an int, not a bool, with
+|v| <= ``INT_LIMIT``.  Operations whose results stay in range by
+construction build elements through the private ``GroupElement._trusted``
+without checking again: ``meet``, ``join``, unary ``-`` and ``abs`` (the
+bound is symmetric), ``laws.box_elements`` (after checking its two bounds)
+and ``mv.elements``.  Only ``+``, ``-`` and scalar ``*`` can grow a value;
+each tests its result's extremes against the bound once and raises
+``OverflowLimitError`` beyond it.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisibilityError, SchemaError
-from .ints import checked
+from .ints import INT_LIMIT, checked
 from .mspace import (
     BmsMorphism,
     MultiSpace,
@@ -45,6 +57,7 @@ __all__ = [
     "is_maximal",
     "is_maximal_by_criterion",
     "hyperarch_witness",
+    "hyperarch_witness_by_scan",
     "validate_lhom",
     "apply_lhom",
     "identity_lhom",
@@ -67,7 +80,7 @@ class SpeckerGroup:
     base: MultiSpace
 
     def element(self, values: Iterable[int]) -> GroupElement:
-        return GroupElement(self, tuple(values))
+        return GroupElement(self, values)
 
     def zero(self) -> GroupElement:
         return GroupElement(self, (0,) * len(self.base))
@@ -79,21 +92,39 @@ class SpeckerGroup:
         return f"SpeckerGroup(unit={self.base.mults})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupElement:
-    """An integer vector indexed by the base points of its group."""
+    """An integer vector indexed by the base points of its group.
+
+    Calling the class validates ``values``; any iterable of ints is stored
+    as a tuple.
+    """
 
     group: SpeckerGroup
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.group.base):
+        values = tuple(self.values)
+        if len(values) != len(self.group.base):
             raise SchemaError(
-                f"element has {len(self.values)} values but the base has "
+                f"element has {len(values)} values but the base has "
                 f"{len(self.group.base)} points"
             )
-        for v in self.values:
+        for v in values:
             checked(v, "element value")
+        object.__setattr__(self, "values", values)
+
+    @staticmethod
+    def _trusted(group: SpeckerGroup, values: tuple[int, ...]) -> GroupElement:
+        """An element built without validation.
+
+        Only for a tuple of ints of the group's length that the caller has
+        already kept within ``INT_LIMIT``.
+        """
+        e = _new(GroupElement)
+        _set_group(e, group)
+        _set_values(e, values)
+        return e
 
     def value(self, label: str) -> int:
         return self.values[self.group.base.index(label)]
@@ -101,32 +132,28 @@ class GroupElement:
     def _same_group(self, other: GroupElement) -> None:
         if not isinstance(other, GroupElement):
             raise SchemaError(f"expected a group element, got {other!r}")
-        if self.group != other.group:
+        if self.group is not other.group and self.group != other.group:
             raise SchemaError("elements belong to different groups")
 
     def __add__(self, other: GroupElement) -> GroupElement:
         self._same_group(other)
-        return GroupElement(
-            self.group,
-            tuple(checked(a + b, "sum") for a, b in zip(self.values, other.values)),
-        )
+        return _bounded(self.group, tuple(map(operator.add, self.values, other.values)), "sum")
 
     def __sub__(self, other: GroupElement) -> GroupElement:
         self._same_group(other)
-        return GroupElement(
-            self.group,
-            tuple(checked(a - b, "difference") for a, b in zip(self.values, other.values)),
+        return _bounded(
+            self.group, tuple(map(operator.sub, self.values, other.values)), "difference"
         )
 
     def __neg__(self) -> GroupElement:
-        return GroupElement(self.group, tuple(-a for a in self.values))
+        return _trusted(self.group, tuple(map(operator.neg, self.values)))
 
     def __abs__(self) -> GroupElement:
-        return GroupElement(self.group, tuple(abs(a) for a in self.values))
+        return _trusted(self.group, tuple(map(abs, self.values)))
 
     def __mul__(self, k: int) -> GroupElement:
         checked(k, "scalar")
-        return GroupElement(self.group, tuple(checked(k * a, "scalar product") for a in self.values))
+        return _bounded(self.group, tuple([k * a for a in self.values]), "scalar product")
 
     __rmul__ = __mul__
 
@@ -134,14 +161,29 @@ class GroupElement:
         return f"GroupElement{self.values}"
 
 
+_new = object.__new__
+_set_group = GroupElement.group.__set__
+_set_values = GroupElement.values.__set__
+_trusted = GroupElement._trusted
+
+
+def _bounded(group: SpeckerGroup, values: tuple[int, ...], context: str) -> GroupElement:
+    """The element with the computed ``values``, after one test of their
+    extremes against ``INT_LIMIT``; ``checked`` names a value beyond it."""
+    if values and (max(values) > INT_LIMIT or min(values) < -INT_LIMIT):
+        for v in values:
+            checked(v, context)
+    return _trusted(group, values)
+
+
 def meet(a: GroupElement, b: GroupElement) -> GroupElement:
     a._same_group(b)
-    return GroupElement(a.group, tuple(min(x, y) for x, y in zip(a.values, b.values)))
+    return _trusted(a.group, tuple(map(min, a.values, b.values)))
 
 
 def join(a: GroupElement, b: GroupElement) -> GroupElement:
     a._same_group(b)
-    return GroupElement(a.group, tuple(max(x, y) for x, y in zip(a.values, b.values)))
+    return _trusted(a.group, tuple(map(max, a.values, b.values)))
 
 
 def leq(a: GroupElement, b: GroupElement) -> bool:
@@ -215,15 +257,20 @@ class ClosedSetIdeal:
 
     group: SpeckerGroup
     zeroset: frozenset[str]
+    _zero_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for lab in self.zeroset:
-            self.group.base.index(lab)
+        indices = tuple(self.group.base.index(lab) for lab in self.zeroset)
+        object.__setattr__(self, "_zero_indices", indices)
 
     def contains(self, g: GroupElement) -> bool:
-        if g.group != self.group:
+        if g.group is not self.group and g.group != self.group:
             raise SchemaError("element belongs to a different group")
-        return all(g.value(l) == 0 for l in self.zeroset)
+        values = g.values
+        for i in self._zero_indices:
+            if values[i]:
+                return False
+        return True
 
 
 def maxspec(group: SpeckerGroup) -> tuple[MaximalIdeal, ...]:
@@ -330,14 +377,30 @@ def is_maximal_by_criterion(
 
 # -- hyperarchimedean witness -------------------------------------------------
 
+def _require_nonnegative(f: GroupElement, g: GroupElement) -> None:
+    f._same_group(g)
+    if min(f.values, default=0) < 0 or min(g.values, default=0) < 0:
+        raise SchemaError("hyperarch_witness requires nonnegative elements")
+
+
 def hyperarch_witness(f: GroupElement, g: GroupElement) -> int:
     """Least n with n*f /\\ g = (n+1)*f /\\ g, for nonnegative f and g.
 
-    Always exists and is at most the largest value of g.
+    At a point with f_i > 0 the value min(n*f_i, g_i) stops growing exactly
+    when n*f_i >= g_i; where f_i = 0 it is always 0.  So n is the largest
+    ceil(g_i / f_i) over the points with f_i > 0, or 0 if there are none,
+    and at most the largest value of g.
     """
-    f._same_group(g)
-    if any(v < 0 for v in f.values) or any(v < 0 for v in g.values):
-        raise SchemaError("hyperarch_witness requires nonnegative elements")
+    _require_nonnegative(f, g)
+    return max((-(-b // a) for a, b in zip(f.values, g.values) if a), default=0)
+
+
+def hyperarch_witness_by_scan(f: GroupElement, g: GroupElement) -> int:
+    """``hyperarch_witness`` by scanning n = 0, 1, ... until the meets agree.
+
+    Builds four elements per step; kept as the test oracle of the closed form.
+    """
+    _require_nonnegative(f, g)
     n = 0
     while meet(n * f, g) != meet((n + 1) * f, g):
         n += 1
@@ -474,7 +537,7 @@ def element_from_dict(data: object) -> GroupElement:
         raise SchemaError("element JSON needs 'group' and 'values' fields")
     if not isinstance(data["values"], list):
         raise SchemaError("'values' must be an array of integers")
-    return GroupElement(group_from_dict(data["group"]), tuple(data["values"]))
+    return GroupElement(group_from_dict(data["group"]), data["values"])
 
 
 def lhom_to_dict(h: LHom) -> dict:

@@ -149,4 +149,4 @@ def test_criterion_9_membership_vs_oracle():
 def test_criterion_10_hyperarch_witness():
     start = time.perf_counter()
     failures = laws.check_hyperarch(all_groups(3, 4), value_bound=3)
-    _report(10, "hyperarchimedean witness", failures, time.perf_counter() - start)
+    _report(10, "hyperarchimedean witness", failures, time.perf_counter() - start, 8)

@@ -208,6 +208,47 @@ def test_laws_small(capsys):
     assert report["ok"] and report["total_failures"] == 0
 
 
+@pytest.mark.parametrize(
+    "bounds, code, kind",
+    [
+        (("--max-points", "-1"), 2, "schema"),
+        (("--max-mult", "0"), 2, "schema"),
+        (("--max-points", "7", "--max-mult", "1"), 3, "math-domain"),
+        (("--max-points", "6", "--max-mult", "4"), 3, "math-domain"),
+        (("--max-points", "4", "--max-mult", "3"), 3, "math-domain"),
+    ],
+)
+def test_laws_bounds_are_checked_first(capsys, bounds, code, kind):
+    start = time.perf_counter()
+    got, out, err = run(capsys, "laws", *bounds)
+    assert time.perf_counter() - start < 1
+    assert got == code and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == kind
+
+
+def test_laws_cap_admits_the_used_bounds(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli.laws, "all_spaces", reached)
+    for bounds in [(2, 2), (2, 3), (3, 4), (0, 10**6), (6, 1)]:
+        with pytest.raises(Reached):
+            cli.laws.run_laws(*bounds)
+
+
+@pytest.mark.parametrize("which", ["power", "pushout"])
+def test_negative_omega_bound_exits_2(capsys, which):
+    with pytest.raises(SystemExit) as exc:
+        main(["omega", "demo", "--which", which, "--bound", "-3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert json.loads(out.err)["kind"] == "schema"
+
+
 def test_omega_demos(capsys):
     code, out, _ = run(capsys, "omega", "demo", "--which", "not-specker")
     assert code == 0

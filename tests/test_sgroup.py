@@ -1,9 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT
+from bms.laws import box_elements
 from bms.mspace import new_space
 from bms.sgroup import (
     GroupElement,
@@ -15,6 +18,7 @@ from bms.sgroup import (
     dual_bms_morphism,
     greatest_singular,
     hyperarch_witness,
+    hyperarch_witness_by_scan,
     ideal_from_zeroset,
     identity_lhom,
     is_maximal,
@@ -65,6 +69,68 @@ def test_group_mismatch_and_overflow():
         big + big
     with pytest.raises(OverflowLimitError):
         2 * big
+
+
+def test_overflow_from_difference_and_negative_operands():
+    g = grp(1, 1)
+    big = g.element((INT_LIMIT, 0))
+    low = g.element((0, -INT_LIMIT))
+    with pytest.raises(OverflowLimitError):
+        big - (-big)
+    with pytest.raises(OverflowLimitError):
+        low - g.element((0, 1))
+    with pytest.raises(OverflowLimitError):
+        low + low
+    with pytest.raises(OverflowLimitError):
+        2 * low
+    with pytest.raises(OverflowLimitError):
+        low * -2
+    assert big - big == g.zero() and low + (-low) == g.zero()
+    assert -1 * low == g.element((0, INT_LIMIT))
+
+
+def test_public_constructor_validates():
+    g = grp(1, 1)
+    for bad in [(True, 0), (0, 1.0), (0, "1")]:
+        with pytest.raises(SchemaError):
+            GroupElement(g, bad)
+        with pytest.raises(SchemaError):
+            g.element(bad)
+    for bad in [(INT_LIMIT + 1, 0), (0, -INT_LIMIT - 1)]:
+        with pytest.raises(OverflowLimitError):
+            GroupElement(g, bad)
+    for bad in [(), (1,), (1, 2, 3)]:
+        with pytest.raises(SchemaError):
+            GroupElement(g, bad)
+    assert g.element((INT_LIMIT, -INT_LIMIT)).values == (INT_LIMIT, -INT_LIMIT)
+
+
+def test_list_values_are_stored_as_a_tuple():
+    g = grp(1)
+    e = GroupElement(g, [1])
+    assert e.values == (1,) and isinstance(e.values, tuple)
+    assert e == g.element((1,)) and hash(e) == hash(g.element((1,)))
+    assert len({e, g.element((1,))}) == 1
+
+
+def test_box_elements_checks_its_bounds_first():
+    g = grp(1)
+    with pytest.raises(OverflowLimitError):
+        next(box_elements(g, 0, INT_LIMIT + 1))
+    with pytest.raises(OverflowLimitError):
+        next(box_elements(g, -INT_LIMIT - 1, 0))
+    assert [f.values for f in box_elements(g, INT_LIMIT - 1, INT_LIMIT)] == [
+        (INT_LIMIT - 1,), (INT_LIMIT,)
+    ]
+
+
+def test_lattice_results_equal_validated_elements():
+    g = grp(1, 2, 3)
+    for a, b in itertools.product(box_elements(g, -1, 1), repeat=2):
+        for result in (meet(a, b), join(a, b), -a, abs(a), a + b, a - b, 2 * a):
+            public = GroupElement(g, result.values)
+            assert result == public and public == result
+            assert hash(result) == hash(public)
 
 
 def test_is_singular_examples():
@@ -189,6 +255,21 @@ def test_hyperarch_witness_examples():
     assert hyperarch_witness(h.element((1, 0)), h.element((0, 5))) == 0
     with pytest.raises(SchemaError):
         hyperarch_witness(g.element((-1, 0)), u)
+
+
+@st.composite
+def nonnegative_pairs(draw):
+    n = draw(st.integers(0, 4))
+    g = grp(*[draw(st.integers(1, 4)) for _ in range(n)])
+    values = st.lists(st.integers(0, 12), min_size=n, max_size=n)
+    return g.element(draw(values)), g.element(draw(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonnegative_pairs())
+def test_closed_form_witness_matches_scan(pair):
+    f, g = pair
+    assert hyperarch_witness(f, g) == hyperarch_witness_by_scan(f, g)
 
 
 def test_validate_and_apply_lhom():
