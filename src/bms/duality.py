@@ -29,9 +29,9 @@ from .sgroup import (
     compose_lhom,
     identity_lhom,
     is_isomorphism_lhom,
-    lhom_point_map,
     maxspec,
     residue,
+    validate_lhom,
 )
 
 __all__ = [
@@ -61,18 +61,11 @@ def dual_hom(gamma: BmsMorphism) -> LHom:
     """The unital l-homomorphism dual to a point map (contravariant).
 
     For gamma from W to V this maps functions on V to functions on W by
-    composing with gamma and scaling by gamma's zeta: row w carries
-    zeta(w) in column gamma(w).
+    composing with gamma and scaling by gamma's zeta: row w is the pair
+    (gamma(w), zeta(w)).
     """
-    dom = function_group(gamma.cod)
-    cod = function_group(gamma.dom)
-    cols = {l: i for i, l in enumerate(gamma.cod.labels)}
-    rows = []
-    for tgt, z in zip(gamma.targets, gamma.zetas):
-        row = [0] * len(gamma.cod)
-        row[cols[tgt]] = z
-        rows.append(tuple(row))
-    return LHom(dom, cod, tuple(rows))
+    rows = tuple(zip(map(gamma.cod.index, gamma.targets), gamma.zetas))
+    return LHom(function_group(gamma.cod), function_group(gamma.dom), rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -85,25 +78,25 @@ def spectrum_space(group: SpeckerGroup) -> MultiSpace:
     )
 
 
+def _row_point_map(psi: LHom, dom_space: MultiSpace, cod_space: MultiSpace) -> BmsMorphism:
+    """Point r of ``dom_space`` goes to point c of ``cod_space`` for row (c, k)
+    of psi; the spaces list their points in the orders of psi.cod and psi.dom."""
+    labels = cod_space.labels
+    return BmsMorphism(dom_space, cod_space, tuple([labels[c] for c, _ in psi.rows]))
+
+
 def spectrum_map(psi: LHom) -> BmsMorphism:
     """The point map on maximal-ideal spaces induced by preimage.
 
-    Each ideal of the codomain group pulls back to the ideal at the source
-    point decoded from psi's row structure; the row entry is the zeta.
+    Each ideal of the codomain group pulls back to the ideal at its row's
+    source point: ``dual_point_map`` relabeled onto the spectra.
     """
-    pm = lhom_point_map(psi)
-    dom_space = spectrum_space(psi.cod)
-    cod_space = spectrum_space(psi.dom)
-    targets = tuple(IDEAL_PREFIX + pm[l][0] for l in psi.cod.base.labels)
-    return BmsMorphism(dom_space, cod_space, targets)
+    return _row_point_map(psi, spectrum_space(psi.cod), spectrum_space(psi.dom))
 
 
 def dual_point_map(psi: LHom) -> BmsMorphism:
-    """Same as spectrum_map, but expressed on the original base spaces."""
-    pm = lhom_point_map(psi)
-    return BmsMorphism(
-        psi.cod.base, psi.dom.base, tuple(pm[l][0] for l in psi.cod.base.labels)
-    )
+    """The point map dual to psi, on the original base spaces."""
+    return _row_point_map(psi, psi.cod.base, psi.dom.base)
 
 
 @dataclass(frozen=True)
@@ -115,15 +108,14 @@ class NaturalIsoWitness:
     backward: Union[BmsMorphism, LHom]
 
     def __post_init__(self) -> None:
+        f, b = self.forward, self.backward
         if self.direction == "unit":
-            f, b = self.forward, self.backward
             ok = (
                 compose(f, b) == identity(f.dom)
                 and compose(b, f) == identity(b.dom)
                 and is_isomorphism(f)
             )
         elif self.direction == "counit":
-            f, b = self.forward, self.backward
             ok = (
                 compose_lhom(f, b) == identity_lhom(f.dom)
                 and compose_lhom(b, f) == identity_lhom(b.dom)
@@ -148,15 +140,12 @@ def unit_iso(space: MultiSpace) -> NaturalIsoWitness:
 def counit_iso(group: SpeckerGroup) -> NaturalIsoWitness:
     """The isomorphism sending each element to its residue function.
 
-    Under the canonical point orders this is an identity-shaped permutation
-    matrix with all multipliers 1.
+    Under the canonical point orders its rows are those of the identity:
+    each point to itself with multiplier 1.
     """
     target = function_group(spectrum_space(group))
-    n = len(group.base)
-    eye = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    fwd = LHom(group, target, eye)
-    bwd = LHom(target, group, eye)
-    return NaturalIsoWitness("counit", fwd, bwd)
+    eye = identity_lhom(group).rows
+    return NaturalIsoWitness("counit", LHom(group, target, eye), LHom(target, group, eye))
 
 
 def triangle_identities_space(space: MultiSpace) -> bool:
@@ -186,7 +175,7 @@ def enumerate_lhoms(dom: SpeckerGroup, cod: SpeckerGroup) -> list[LHom]:
 
     For each codomain point only entries k with k * unit_dom(v) equal to the
     point's unit are tried, which is sound and complete for the row-shape
-    invariants.  Deterministic order.
+    invariants; ``validate_lhom`` decodes each matrix.  Deterministic order.
     """
     row_choices = []
     ncols = len(dom.base)
@@ -197,10 +186,8 @@ def enumerate_lhoms(dom: SpeckerGroup, cod: SpeckerGroup) -> list[LHom]:
                 row = [0] * ncols
                 row[c] = uw // uv
                 choices.append(tuple(row))
-        if not choices:
-            return []
         row_choices.append(choices)
-    return [LHom(dom, cod, rows) for rows in itertools.product(*row_choices)]
+    return [validate_lhom(rows, dom, cod) for rows in itertools.product(*row_choices)]
 
 
 def hom_bijection_report(x: MultiSpace, y: MultiSpace) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DivisibilityError, SchemaError
-from .ints import checked
+from .ints import INT_LIMIT, checked
 
 __all__ = [
     "MultiSpace",
@@ -57,9 +57,10 @@ class MultiSpace:
                 raise SchemaError(f"duplicate point label {lab!r}")
             index[lab] = i
         for lab, m in zip(self.labels, self.mults):
-            checked(m, f"multiplicity of {lab!r}")
-            if m < 1:
-                raise SchemaError(f"multiplicity of {lab!r} must be >= 1, got {m}")
+            if type(m) is not int or not 0 < m <= INT_LIMIT:  # context formatted on failure only
+                checked(m, f"multiplicity of {lab!r}")
+                if m < 1:
+                    raise SchemaError(f"multiplicity of {lab!r} must be >= 1, got {m}")
         object.__setattr__(self, "_index", index)
 
     def __len__(self) -> int:

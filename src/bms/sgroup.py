@@ -3,8 +3,9 @@
 A group is carried as the integer-vector group over a multispace, with the
 multiplicity function as its distinguished unit.  Elements support pointwise
 group and lattice operations; maximal ideals correspond to points, closed-set
-ideals to subsets of points, and unital l-homomorphisms to nonnegative
-integer matrices with a single positive entry per row.
+ideals to subsets of points, and unital l-homomorphisms to point maps with
+multipliers: an ``LHom`` stores one (column, multiplier) pair per codomain
+point, and ``validate_lhom`` is the one decoder of the dense matrix form.
 
 Element values are validated once, where they enter: calling
 ``GroupElement`` (and so ``SpeckerGroup.element`` and ``element_from_dict``)
@@ -27,12 +28,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import DivisibilityError, SchemaError
 from .ints import INT_LIMIT, checked
-from .mspace import (
-    BmsMorphism,
-    MultiSpace,
-    space_from_dict,
-    space_to_dict,
-)
+from .mspace import MultiSpace, space_from_dict, space_to_dict
 
 __all__ = [
     "SpeckerGroup",
@@ -411,44 +407,35 @@ def hyperarch_witness_by_scan(f: GroupElement, g: GroupElement) -> int:
 
 @dataclass(frozen=True)
 class LHom:
-    """A unital l-homomorphism as a nonnegative integer matrix.
+    """A unital l-homomorphism, stored as its dual point map with multipliers.
 
-    Rows are indexed by the codomain's base points, columns by the domain's.
-    Every row carries exactly one positive entry k at some column v, with
-    k * unit_dom(v) = unit_cod(row point); applying the matrix to the domain
-    unit therefore yields the codomain unit.
+    ``rows[r] = (c, k)`` for codomain point r: the image of f is k * f[c] at r,
+    so c is gamma(r) and k is zeta(r), and k * unit_dom(c) = unit_cod(r) keeps
+    the unit.  ``matrix`` derives the dense form: row r holds k at column c.
     """
 
     dom: SpeckerGroup
     cod: SpeckerGroup
-    matrix: tuple[tuple[int, ...], ...]
-    point_map: tuple[tuple[str, int], ...] = field(init=False, compare=False, repr=False)
+    rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        nrows, ncols = len(self.cod.base), len(self.dom.base)
-        if len(self.matrix) != nrows:
-            raise SchemaError(f"matrix has {len(self.matrix)} rows, expected {nrows}")
-        pm = []
-        for r, row in enumerate(self.matrix):
-            if len(row) != ncols:
-                raise SchemaError(f"row {r} has {len(row)} entries, expected {ncols}")
-            positives = [(c, k) for c, k in enumerate(row) if k != 0]
-            if any(k < 0 for _, k in positives):
-                raise SchemaError(f"row {r} has a negative entry")
-            if len(positives) != 1:
-                raise SchemaError(
-                    f"row {r} has {len(positives)} positive entries, expected exactly 1"
-                )
-            c, k = positives[0]
-            uw = self.cod.base.mults[r]
-            uv = self.dom.base.mults[c]
-            if k * uv != uw:
+        dom_mults, cod_mults, ncols = self.dom.base.mults, self.cod.base.mults, len(self.dom.base)
+        if len(self.rows) != len(cod_mults):
+            raise SchemaError(f"matrix has {len(self.rows)} rows, expected {len(cod_mults)}")
+        for r, (c, k) in enumerate(self.rows):
+            if type(c) is not int or type(k) is not int or not 0 <= c < ncols:
+                raise SchemaError(f"row {r}: {(c, k)!r} is not an (int column < {ncols}, int) pair")
+            if k * dom_mults[c] != cod_mults[r]:
                 raise DivisibilityError(
-                    f"row {r}: entry {k} at column {c} gives {k}*{uv} != {uw}, "
-                    "so the unit is not preserved"
+                    f"row {r}: entry {k} at column {c} gives {k}*{dom_mults[c]} != "
+                    f"{cod_mults[r]}, so the unit is not preserved"
                 )
-            pm.append((self.dom.base.labels[c], k))
-        object.__setattr__(self, "point_map", tuple(pm))
+
+    @property
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        """The dense nonnegative integer matrix, one row per codomain point."""
+        n = len(self.dom.base)
+        return tuple(tuple(k if j == c else 0 for j in range(n)) for c, k in self.rows)
 
     def __repr__(self) -> str:
         return f"LHom({len(self.cod.base)}x{len(self.dom.base)})"
@@ -457,63 +444,60 @@ class LHom:
 def validate_lhom(
     matrix: Sequence[Sequence[int]], dom: SpeckerGroup, cod: SpeckerGroup
 ) -> LHom:
-    """Check the row-shape, positivity and unit-preservation invariants."""
-    return LHom(dom, cod, tuple(tuple(checked(v, "matrix entry") for v in row) for row in matrix))
+    """Decode a dense matrix: each row needs checked entries, the domain's
+    width and exactly one positive entry, which becomes its (column, k) pair;
+    ``LHom`` then checks the row count and the unit."""
+    ncols = len(dom.base)
+    rows = []
+    for r, row in enumerate(matrix):
+        row = [checked(v, "matrix entry") for v in row]
+        if len(row) != ncols:
+            raise SchemaError(f"row {r} has {len(row)} entries, expected {ncols}")
+        positives = [(c, k) for c, k in enumerate(row) if k != 0]
+        if any(k < 0 for _, k in positives):
+            raise SchemaError(f"row {r} has a negative entry")
+        if len(positives) != 1:
+            raise SchemaError(f"row {r} has {len(positives)} positive entries, expected exactly 1")
+        rows.append(positives[0])
+    return LHom(dom, cod, tuple(rows))
 
 
 def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
-    """Matrix action; equals zeta * (f o gamma) for the derived point map."""
+    """The image k * f[c] at each codomain point, for its row (c, k)."""
     if f.group != h.dom:
         raise SchemaError("element does not live in the homomorphism's domain")
-    vals = tuple(
-        checked(sum(k * v for k, v in zip(row, f.values)), "image value")
-        for row in h.matrix
-    )
-    return GroupElement(h.cod, vals)
+    values = f.values
+    return _bounded(h.cod, tuple([k * values[c] for c, k in h.rows]), "image value")
 
 
 def identity_lhom(group: SpeckerGroup) -> LHom:
-    n = len(group.base)
-    return LHom(group, group, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+    return LHom(group, group, tuple((i, 1) for i in range(len(group.base))))
 
 
 def compose_lhom(first: LHom, second: LHom) -> LHom:
-    """Diagrammatic composition: apply ``first``, then ``second``."""
+    """Diagrammatic composition: apply ``first``, then ``second``.
+
+    Row (c, k) of ``second`` reads k * (k' * f[c']) for row (c', k') = c of
+    ``first``, so the composite row is (c', k * k').
+    """
     if first.cod != second.dom:
         raise SchemaError("cannot compose: codomain of first != domain of second")
-    a, b = second.matrix, first.matrix
-    ncols = len(first.dom.base)
-    rows = []
-    for arow in a:
-        rows.append(tuple(
-            sum(arow[i] * b[i][j] for i in range(len(b))) for j in range(ncols)
-        ))
-    return LHom(first.dom, second.cod, tuple(rows))
+    inner = first.rows
+    rows = tuple([(inner[c][0], k * inner[c][1]) for c, k in second.rows])
+    return LHom(first.dom, second.cod, rows)
 
 
 def lhom_point_map(h: LHom) -> dict[str, tuple[str, int]]:
-    """Decode each codomain point's source point and multiplier from the rows."""
-    return dict(zip(h.cod.base.labels, h.point_map))
+    """Each codomain point's source point and multiplier."""
+    labels = h.dom.base.labels
+    return {w: (labels[c], k) for w, (c, k) in zip(h.cod.base.labels, h.rows)}
 
 
 def is_isomorphism_lhom(h: LHom) -> bool:
-    """True iff the matrix is a unit-compatible permutation (all entries 1)."""
+    """True iff the rows form a unit-compatible permutation (all multipliers 1)."""
     if len(h.dom.base) != len(h.cod.base):
         return False
-    cols = [c for row in h.matrix for c, k in enumerate(row) if k != 0]
-    return len(set(cols)) == len(h.matrix) and all(
-        k == 1 for row in h.matrix for k in row if k != 0
-    )
-
-
-def dual_bms_morphism(h: LHom) -> BmsMorphism:
-    """The point map between base spaces recovered from the row structure.
-
-    Sends each codomain base point to the column carrying its positive
-    entry; the entry itself is the morphism's zeta.
-    """
-    pm = lhom_point_map(h)
-    return BmsMorphism(h.cod.base, h.dom.base, tuple(pm[l][0] for l in h.cod.base.labels))
+    return len({c for c, _ in h.rows}) == len(h.rows) and all(k == 1 for _, k in h.rows)
 
 
 # -- JSON forms ---------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from bms import cli
 from bms.cli import main
+from bms.mspace import enumerate_homs
 
 SPACE_AB = {"points": [{"label": "a", "mult": 1}, {"label": "b", "mult": 2}]}
 SPACE_X4 = {"points": [{"label": "x", "mult": 4}]}
@@ -216,6 +217,10 @@ def test_laws_small(capsys):
         (("--max-points", "7", "--max-mult", "1"), 3, "math-domain"),
         (("--max-points", "6", "--max-mult", "4"), 3, "math-domain"),
         (("--max-points", "4", "--max-mult", "3"), 3, "math-domain"),
+        (("--max-points", "6", "--max-mult", "1"), 3, "math-domain"),
+        (("--max-points", "5", "--max-mult", "1"), 3, "math-domain"),
+        (("--max-points", "4", "--max-mult", "2"), 3, "math-domain"),
+        (("--max-points", "5", "--max-mult", "2"), 3, "math-domain"),
     ],
 )
 def test_laws_bounds_are_checked_first(capsys, bounds, code, kind):
@@ -234,9 +239,32 @@ def test_laws_cap_admits_the_used_bounds(monkeypatch):
         raise Reached
 
     monkeypatch.setattr(cli.laws, "all_spaces", reached)
-    for bounds in [(2, 2), (2, 3), (3, 4), (0, 10**6), (6, 1)]:
+    for bounds in [(2, 2), (2, 3), (3, 4), (4, 1), (2, 9), (1, 99), (0, 10**6)]:
         with pytest.raises(Reached):
             cli.laws.run_laws(*bounds)
+
+
+def test_inverse_scan_cases_closed_form():
+    spaces = cli.laws.all_spaces(2, 3)
+    by_enumeration = sum(
+        len(enumerate_homs(x, y)) * len(enumerate_homs(y, x)) for x in spaces for y in spaces
+    )
+    assert cli.laws.inverse_scan_cases(2, 3) == by_enumeration == 148
+    expected = {(3, 4): 48_983, (4, 1): 77_325, (4, 2): 1_227_618, (5, 1): 11_185_310,
+                (6, 1): 2_441_904_026, (0, 10**6): 1}
+    assert {b: cli.laws.inverse_scan_cases(*b) for b in expected} == expected
+
+
+def test_pushout_bound_limit(capsys):
+    limit = cli.omega.PUSHOUT_BOUND_LIMIT
+    code, out, _ = run(capsys, "omega", "demo", "--which", "pushout", "--bound", str(limit))
+    assert code == 0 and json.loads(out)["min_prefix_length"] == limit + 1
+    for bound in (limit + 1, 10**9):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "omega", "demo", "--which", "pushout", "--bound", str(bound))
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "math-domain"
 
 
 @pytest.mark.parametrize("which", ["power", "pushout"])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bms.errors import DivisibilityError, SchemaError
+from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
+from bms.ints import INT_LIMIT
 from bms.mspace import (
     compose,
     enumerate_homs,
@@ -35,6 +36,29 @@ def test_new_space_errors():
         new_space(["a"], [-3])
     with pytest.raises(SchemaError):
         new_space(["a", "b"], [1])
+
+
+@pytest.mark.parametrize(
+    "mult, error, message",
+    [
+        (True, SchemaError, "multiplicity of 'a' must be an integer, got True"),
+        (2.0, SchemaError, "multiplicity of 'a' must be an integer, got 2.0"),
+        ("2", SchemaError, "multiplicity of 'a' must be an integer, got '2'"),
+        (0, SchemaError, "multiplicity of 'a' must be >= 1, got 0"),
+        (-3, SchemaError, "multiplicity of 'a' must be >= 1, got -3"),
+        (INT_LIMIT + 1, OverflowLimitError, f"multiplicity of 'a' {INT_LIMIT + 1} exceeds"),
+        (-INT_LIMIT - 1, OverflowLimitError, f"multiplicity of 'a' {-INT_LIMIT - 1} exceeds"),
+    ],
+)
+def test_bad_multiplicity_kinds_and_messages(mult, error, message):
+    with pytest.raises(error) as exc:
+        new_space(["b", "a"], [1, mult])
+    assert str(exc.value).startswith(message)
+    assert type(exc.value) is error
+
+
+def test_multiplicity_at_the_limit_is_legal():
+    assert new_space(["a"], [INT_LIMIT]).mults == (INT_LIMIT,)
 
 
 def test_new_morphism_zeta():

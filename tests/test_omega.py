@@ -204,6 +204,7 @@ def test_countable_power_demo_report():
     assert report["limit_v"] == 1
     assert report["all_b_v"] == 2
     assert report["discontinuous"]
+    assert list(report)[-1] == "confirmed" and report["confirmed"]
 
 
 def test_comparison_multiplicity():

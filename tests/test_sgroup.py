@@ -1,21 +1,22 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bms.duality import dual_point_map, enumerate_lhoms
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT
 from bms.laws import box_elements
 from bms.mspace import new_space
 from bms.sgroup import (
     GroupElement,
+    LHom,
     MaximalIdeal,
     SpeckerGroup,
     apply_lhom,
     canonical_generator,
     compose_lhom,
-    dual_bms_morphism,
     greatest_singular,
     hyperarch_witness,
     hyperarch_witness_by_scan,
@@ -301,8 +302,63 @@ def test_lhom_point_map_round_trip():
     cod = grp(4, labels=["w"])
     h = validate_lhom([[2]], dom, cod)
     assert lhom_point_map(h) == {"w": ("v", 2)}
-    gamma = dual_bms_morphism(h)
+    gamma = dual_point_map(h)
     assert gamma.mapping == {"w": "v"} and gamma.zetas == (2,)
+
+
+def test_lhom_pair_errors():
+    dom2 = grp(1, 2)
+    cod = grp(2)
+    assert LHom(dom2, cod, ((1, 1),)).matrix == ((0, 1),)
+    for pair in ((2, 1), (-1, 1), (True, 1), (1, 1.0)):
+        with pytest.raises(SchemaError):
+            LHom(dom2, cod, (pair,))
+    with pytest.raises(SchemaError):
+        LHom(dom2, cod, ((0, 2), (1, 1)))            # one row too many
+    with pytest.raises(DivisibilityError):
+        LHom(dom2, cod, ((0, 1),))                   # 1 * 1 != 2
+    with pytest.raises(DivisibilityError):
+        LHom(dom2, cod, ((1, 2),))                   # 2 * 2 != 2
+
+
+def test_apply_lhom_overflow():
+    dom = grp(1, labels=["v"])
+    cod = grp(2, labels=["w"])
+    h = validate_lhom([[2]], dom, cod)
+    half = INT_LIMIT // 2
+    assert apply_lhom(h, dom.element((half,))).values == (2 * half,)
+    assert apply_lhom(h, dom.element((-half,))).values == (-2 * half,)
+    for v in (half + 1, -half - 1, INT_LIMIT):
+        with pytest.raises(OverflowLimitError):
+            apply_lhom(h, dom.element((v,)))
+
+
+def dense_product(a, b):
+    return tuple(
+        tuple(sum(a[i][l] * b[l][j] for l in range(len(b))) for j in range(len(b[0]) if b else 0))
+        for i in range(len(a))
+    )
+
+
+@st.composite
+def composable_lhoms(draw):
+    """f: A -> B and g: B -> C drawn from ``enumerate_lhoms``, and x in A."""
+    a, b, c = (
+        grp(*draw(st.lists(st.integers(1, 4), max_size=3))) for _ in range(3)
+    )
+    fs, gs = enumerate_lhoms(a, b), enumerate_lhoms(b, c)
+    assume(fs and gs)
+    x = a.element(draw(st.lists(st.integers(-9, 9), min_size=len(a.base), max_size=len(a.base))))
+    return draw(st.sampled_from(fs)), draw(st.sampled_from(gs)), x
+
+
+@settings(max_examples=200, deadline=None)
+@given(composable_lhoms())
+def test_pair_form_matches_dense_matrices(triple):
+    f, g, x = triple
+    assert compose_lhom(f, g).matrix == dense_product(g.matrix, f.matrix)
+    image = dense_product(f.matrix, tuple((v,) for v in x.values))
+    assert apply_lhom(f, x).values == tuple(v for (v,) in image)
 
 
 def test_compose_lhom():
