@@ -81,19 +81,12 @@ def _dot_quote(text: str) -> str:
 def export_dot(m: BmsMorphism) -> str:
     """Two clusters of label:mult nodes, edges labeled with zeta values."""
     lines = ["digraph bms_morphism {", "  rankdir=LR;"]
-    lines.append("  subgraph cluster_dom {")
-    lines.append('    label="dom";')
-    for i, (lab, mult) in enumerate(zip(m.dom.labels, m.dom.mults)):
-        lines.append(f"    d{i} [label={_dot_quote(f'{lab}:{mult}')}];")
-    lines.append("  }")
-    lines.append("  subgraph cluster_cod {")
-    lines.append('    label="cod";')
-    for j, (lab, mult) in enumerate(zip(m.cod.labels, m.cod.mults)):
-        lines.append(f"    c{j} [label={_dot_quote(f'{lab}:{mult}')}];")
-    lines.append("  }")
-    for i, (tgt, z) in enumerate(zip(m.targets, m.zetas)):
-        j = m.cod.index(tgt)
-        lines.append(f'  d{i} -> c{j} [label="{z}"];')
+    for name, space in (("dom", m.dom), ("cod", m.cod)):
+        lines += [f"  subgraph cluster_{name} {{", f'    label="{name}";']
+        for i, (lab, mult) in enumerate(zip(space.labels, space.mults)):
+            lines.append(f"    {name[0]}{i} [label={_dot_quote(f'{lab}:{mult}')}];")
+        lines.append("  }")
+    lines += [f'  d{i} -> c{j} [label="{z}"];' for i, (j, z) in enumerate(m.rows)]
     lines.append("}")
     return "\n".join(lines)
 

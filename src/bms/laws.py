@@ -16,7 +16,6 @@ from . import duality, limits, mv, omega, sgroup
 from .errors import SchemaError, SizeLimitError
 from .ints import checked, checked_lcm
 from .mspace import (
-    BmsMorphism,
     MultiSpace,
     compose,
     enumerate_homs,

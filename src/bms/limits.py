@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import NoReturn, Sequence
 
 from .duality import dual_hom, function_group
@@ -20,10 +21,11 @@ from .ints import checked_lcm
 from .mspace import (
     BmsMorphism,
     MultiSpace,
-    compose,
+    compose_rows,
     enumerate_homs,
-    morphism_from_dict,
+    identity_rows,
     morphism_to_dict,
+    new_morphism,
     new_space,
     space_from_dict,
     space_to_dict,
@@ -97,15 +99,15 @@ def limit(diagram: Diagram) -> Cone:
     points = []
     mults = []
     components = []
-    for combo in itertools.product(*(o.labels for o in objs)):
-        if all(m(combo[s]) == combo[t] for s, t, m in diagram.arrows):
-            points.append(_tuple_label(combo))
-            mults.append(checked_lcm(o.mult(l) for o, l in zip(objs, combo)))
+    for combo in itertools.product(*(range(len(o)) for o in objs)):
+        if all(m.rows[combo[s]][0] == combo[t] for s, t, m in diagram.arrows):
+            points.append(_tuple_label([o.labels[i] for o, i in zip(objs, combo)]))
+            mults.append(checked_lcm(o.mults[i] for o, i in zip(objs, combo)))
             components.append(combo)
     apex = new_space(points, mults)
     legs = tuple(
-        BmsMorphism(apex, obj, tuple(combo[i] for combo in components))
-        for i, obj in enumerate(objs)
+        BmsMorphism(apex, o, tuple([(c[k], m // o.mults[c[k]]) for c, m in zip(components, mults)]))
+        for k, o in enumerate(objs)
     )
     return Cone(apex, legs)
 
@@ -137,8 +139,8 @@ def coproduct(x: MultiSpace, y: MultiSpace) -> Cocone:
         ["L:" + l for l in x.labels] + ["R:" + l for l in y.labels],
         list(x.mults) + list(y.mults),
     )
-    inj_x = BmsMorphism(x, apex, tuple("L:" + l for l in x.labels))
-    inj_y = BmsMorphism(y, apex, tuple("R:" + l for l in y.labels))
+    inj_x = BmsMorphism(x, apex, identity_rows(len(x)))
+    inj_y = BmsMorphism(y, apex, tuple([(len(x) + i, 1) for i in range(len(y))]))
     return Cocone(apex, (inj_x, inj_y))
 
 
@@ -170,7 +172,7 @@ def _cones_from(apex: MultiSpace, diagram: Diagram) -> list[tuple[BmsMorphism, .
     legsets = [_homs(apex, obj) for obj in diagram.objects]
     out = []
     for legs in itertools.product(*legsets):
-        if all(compose(legs[s], m) == legs[t] for s, t, m in diagram.arrows):
+        if all(compose_rows(legs[s].rows, m.rows) == legs[t].rows for s, t, m in diagram.arrows):
             out.append(legs)
     return out
 
@@ -182,23 +184,29 @@ def verify_universal(
 
     For every commuting cone from every test apex there must be exactly one
     morphism into the candidate apex commuting with the legs.  Mediating
-    morphisms are scanned as index tuples, which keeps large sweeps cheap.
+    morphisms are scanned as index tuples and keyed by the rows of their
+    composites with the legs, read from tables built once per test
+    multiplicity; cones are keyed by the stored rows of their legs.
     """
     apex = candidate.apex
-    leg_targets = [leg.targets for leg in candidate.legs]
     violations = []
     cones_checked = 0
+    mults = {tm for t in test_apexes for tm in t.mults}
+    cands = {tm: [i for i, am in enumerate(apex.mults) if tm % am == 0] for tm in mults}
+    via = [
+        {tm: [(c, tm // am * z) for (c, z), am in zip(leg.rows, apex.mults)] for tm in mults}
+        for leg in candidate.legs
+    ]
     for t in test_apexes:
-        cand_idx = [
-            [i for i, am in enumerate(apex.mults) if tm % am == 0] for tm in t.mults
-        ]
+        cand_idx = [cands[tm] for tm in t.mults]
+        tables = [[v[tm] for tm in t.mults] for v in via]
         mediator_count: dict[tuple, int] = {}
         for combo in itertools.product(*cand_idx):
-            key = tuple(tuple(lt[i] for i in combo) for lt in leg_targets)
+            key = tuple([tuple(map(getitem, tab, combo)) for tab in tables])
             mediator_count[key] = mediator_count.get(key, 0) + 1
         for legs in _cones_from(t, diagram):
             cones_checked += 1
-            n = mediator_count.get(tuple(l.targets for l in legs), 0)
+            n = mediator_count.get(tuple([l.rows for l in legs]), 0)
             if n == 0:
                 violations.append(
                     f"no mediating morphism from {t!r} for cone {[l.targets for l in legs]}"
@@ -218,11 +226,11 @@ def verify_couniversal(candidate: Cocone, test_apexes: Sequence[MultiSpace]) -> 
     for t in test_apexes:
         mediator_count: dict[tuple, int] = {}
         for med in _homs(candidate.apex, t):
-            key = tuple(compose(inj, med).targets for inj in candidate.injections)
+            key = tuple([compose_rows(inj.rows, med.rows) for inj in candidate.injections])
             mediator_count[key] = mediator_count.get(key, 0) + 1
         for legs in itertools.product(*(_homs(o, t) for o in objs)):
             cocones_checked += 1
-            n = mediator_count.get(tuple(l.targets for l in legs), 0)
+            n = mediator_count.get(tuple([l.rows for l in legs]), 0)
             if n != 1:
                 violations.append(
                     f"{n} mediating morphisms to {t!r} for cocone {[l.targets for l in legs]}"
@@ -268,7 +276,7 @@ def diagram_to_dict(d: Diagram) -> dict:
     return {
         "objects": [space_to_dict(o) for o in d.objects],
         "arrows": [
-            {"src": s, "tgt": t, "map": dict(zip(m.dom.labels, m.targets))}
+            {"src": s, "tgt": t, "map": m.mapping}
             for s, t, m in d.arrows
         ],
     }
@@ -287,11 +295,7 @@ def diagram_from_dict(data: object) -> Diagram:
             raise SchemaError("arrow indices must be integers")
         if not (0 <= src < len(objects) and 0 <= tgt < len(objects)):
             raise SchemaError(f"arrow indices ({src},{tgt}) out of range")
-        arrows.append(
-            (src, tgt, morphism_from_dict(
-                {"dom": space_to_dict(objects[src]), "cod": space_to_dict(objects[tgt]), "map": a["map"]}
-            ))
-        )
+        arrows.append((src, tgt, new_morphism(objects[src], objects[tgt], a["map"])))
     return Diagram(objects, tuple(arrows))
 
 

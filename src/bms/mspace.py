@@ -4,15 +4,20 @@ A multispace is a finite set of labeled points with a positive integer
 multiplicity attached to each point.  A morphism is a point map under which
 the codomain multiplicity divides the domain multiplicity pointwise; the
 quotient is the morphism's own multiplicity ``zeta``.
+
+Morphisms and ``sgroup.LHom`` share one row form, checked by ``check_rows``
+and composed by ``compose_rows``: a pair (j, z) per point i, its image j and
+multiplier z with z * m(j) = m(i).  Label maps enter through ``new_morphism``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DivisibilityError, SchemaError
+from .errors import DivisibilityError, SchemaError, SizeLimitError
 from .ints import INT_LIMIT, checked
 
 __all__ = [
@@ -20,16 +25,24 @@ __all__ = [
     "BmsMorphism",
     "new_space",
     "new_morphism",
+    "check_rows",
+    "compose_rows",
+    "identity_rows",
     "identity",
     "compose",
     "is_isomorphism",
     "enumerate_homs",
+    "HOM_LIMIT",
     "are_isomorphic",
     "space_to_dict",
     "space_from_dict",
     "morphism_to_dict",
     "morphism_from_dict",
 ]
+
+# Most morphisms ``enumerate_homs`` builds, counted before it builds any.
+HOM_LIMIT = 100_000
+Rows = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -93,35 +106,31 @@ def new_space(labels: Sequence[str], mults: Sequence[int]) -> MultiSpace:
 class BmsMorphism:
     """A point map whose codomain multiplicity divides the domain's.
 
-    ``targets[i]`` is the codomain label assigned to ``dom.labels[i]``.  The
-    derived multiplicity ``zetas[i]`` is the quotient of the two point
-    multiplicities and is always a positive integer.
+    ``rows[i] = (j, z)``: domain point i goes to codomain point j, and its
+    multiplier z satisfies z * m_cod(j) = m_dom(i).  ``targets``, ``zetas``
+    and ``mapping`` read the rows back as labels.
     """
 
     dom: MultiSpace
     cod: MultiSpace
-    targets: tuple[str, ...]
-    zetas: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    rows: Rows
 
     def __post_init__(self) -> None:
-        if len(self.targets) != len(self.dom):
-            raise SchemaError("point map must be total on the domain")
-        zetas = []
-        for lab, m, tgt in zip(self.dom.labels, self.dom.mults, self.targets):
-            n = self.cod.mult(tgt)  # raises SchemaError on unknown label
-            if m % n != 0:
-                raise DivisibilityError(
-                    f"multiplicity {n} of {tgt!r} does not divide "
-                    f"multiplicity {m} of {lab!r}"
-                )
-            zetas.append(m // n)
-        object.__setattr__(self, "zetas", tuple(zetas))
+        check_rows(self.rows, self.dom, self.cod)
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        return tuple([self.cod.labels[j] for j, _ in self.rows])
+
+    @property
+    def zetas(self) -> tuple[int, ...]:
+        return tuple([z for _, z in self.rows])
 
     def __call__(self, label: str) -> str:
-        return self.targets[self.dom.index(label)]
+        return self.cod.labels[self.rows[self.dom.index(label)][0]]
 
     def zeta(self, label: str) -> int:
-        return self.zetas[self.dom.index(label)]
+        return self.rows[self.dom.index(label)][1]
 
     @property
     def mapping(self) -> dict[str, str]:
@@ -132,19 +141,50 @@ class BmsMorphism:
         return f"BmsMorphism({arrows or 'empty'})"
 
 
+def check_rows(rows: Rows, points: MultiSpace, images: MultiSpace) -> None:
+    """Check one pair (j, z) per point i of ``points``: j an int index into
+    ``images`` and z an int with z * m_images(j) = m_points(i)."""
+    mults, image_mults = points.mults, images.mults
+    if len(rows) != len(mults):
+        raise SchemaError(f"{len(rows)} rows for {len(mults)} points")
+    n = len(image_mults)
+    for i, (j, z) in enumerate(rows):
+        if type(j) is not int or type(z) is not int or not 0 <= j < n:
+            raise SchemaError(f"row {i}: {(j, z)!r} is not an (int index < {n}, int) pair")
+        if z * image_mults[j] != mults[i]:
+            raise DivisibilityError(
+                f"row {i}: {z} * multiplicity {image_mults[j]} of {images.labels[j]!r} "
+                f"!= multiplicity {mults[i]} of {points.labels[i]!r}"
+            )
+
+
+def compose_rows(first: Rows, second: Rows) -> Rows:
+    """Point i goes to j by ``first`` and on to l by ``second``: its composite
+    row is (l, z * z') for first[i] = (j, z) and second[j] = (l, z')."""
+    return tuple([(second[j][0], z * second[j][1]) for j, z in first])
+
+
+def identity_rows(n: int) -> Rows:
+    """Each of n points to itself with multiplier 1."""
+    return tuple([(i, 1) for i in range(n)])
+
+
 def new_morphism(dom: MultiSpace, cod: MultiSpace, gamma: Mapping[str, str]) -> BmsMorphism:
     """Build a morphism from an explicit label map, validating divisibility."""
+    if not isinstance(gamma, Mapping):
+        raise SchemaError("'map' must be an object of label pairs")
     missing = [l for l in dom.labels if l not in gamma]
     if missing:
         raise SchemaError(f"point map missing domain labels {missing}")
     extra = [l for l in gamma if l not in dom.labels]
     if extra:
         raise SchemaError(f"point map mentions unknown labels {extra}")
-    return BmsMorphism(dom, cod, tuple(gamma[l] for l in dom.labels))
+    targets = [cod.index(gamma[l]) for l in dom.labels]
+    return BmsMorphism(dom, cod, tuple([(j, m // cod.mults[j]) for j, m in zip(targets, dom.mults)]))
 
 
 def identity(space: MultiSpace) -> BmsMorphism:
-    return BmsMorphism(space, space, space.labels)
+    return BmsMorphism(space, space, identity_rows(len(space)))
 
 
 def compose(first: BmsMorphism, second: BmsMorphism) -> BmsMorphism:
@@ -154,14 +194,14 @@ def compose(first: BmsMorphism, second: BmsMorphism) -> BmsMorphism:
     """
     if first.cod != second.dom:
         raise SchemaError("cannot compose: codomain of first != domain of second")
-    return BmsMorphism(first.dom, second.cod, tuple(second(t) for t in first.targets))
+    return BmsMorphism(first.dom, second.cod, compose_rows(first.rows, second.rows))
 
 
 def is_isomorphism(m: BmsMorphism) -> bool:
     """True iff the point map is a bijection preserving multiplicities."""
-    if len(m.dom) != len(m.cod) or len(set(m.targets)) != len(m.targets):
+    if len(m.dom) != len(m.cod) or len({j for j, _ in m.rows}) != len(m.rows):
         return False
-    return all(z == 1 for z in m.zetas)
+    return all(z == 1 for _, z in m.rows)
 
 
 def enumerate_homs(dom: MultiSpace, cod: MultiSpace) -> list[BmsMorphism]:
@@ -170,14 +210,13 @@ def enumerate_homs(dom: MultiSpace, cod: MultiSpace) -> list[BmsMorphism]:
     The order on maps is induced by the canonical point orders: the first
     domain point varies slowest, and candidate targets are tried in codomain
     order.  Deterministic; the empty domain yields exactly one morphism.
+    Above ``HOM_LIMIT`` morphisms it raises SizeLimitError before building.
     """
-    candidates = []
-    for m in dom.mults:
-        cands = [lab for lab, n in zip(cod.labels, cod.mults) if m % n == 0]
-        if not cands:
-            return []
-        candidates.append(cands)
-    return [BmsMorphism(dom, cod, tgts) for tgts in itertools.product(*candidates)]
+    candidates = [[(j, m // n) for j, n in enumerate(cod.mults) if m % n == 0] for m in dom.mults]
+    count = math.prod(map(len, candidates))
+    if count > HOM_LIMIT:
+        raise SizeLimitError(f"{count} morphisms exceed the limit of {HOM_LIMIT}")
+    return [BmsMorphism(dom, cod, rows) for rows in itertools.product(*candidates)]
 
 
 def are_isomorphic(a: MultiSpace, b: MultiSpace) -> bool:
@@ -210,13 +249,11 @@ def morphism_to_dict(m: BmsMorphism) -> dict:
     return {
         "dom": space_to_dict(m.dom),
         "cod": space_to_dict(m.cod),
-        "map": dict(zip(m.dom.labels, m.targets)),
+        "map": m.mapping,
     }
 
 
 def morphism_from_dict(data: object) -> BmsMorphism:
     if not isinstance(data, dict) or not {"dom", "cod", "map"} <= set(data):
         raise SchemaError("morphism JSON needs 'dom', 'cod' and 'map' fields")
-    if not isinstance(data["map"], dict):
-        raise SchemaError("'map' must be an object of label pairs")
     return new_morphism(space_from_dict(data["dom"]), space_from_dict(data["cod"]), data["map"])

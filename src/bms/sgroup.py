@@ -4,8 +4,9 @@ A group is carried as the integer-vector group over a multispace, with the
 multiplicity function as its distinguished unit.  Elements support pointwise
 group and lattice operations; maximal ideals correspond to points, closed-set
 ideals to subsets of points, and unital l-homomorphisms to point maps with
-multipliers: an ``LHom`` stores one (column, multiplier) pair per codomain
-point, and ``validate_lhom`` is the one decoder of the dense matrix form.
+multipliers: an ``LHom`` stores the row form of ``mspace``, one (column,
+multiplier) pair per codomain point, and ``validate_lhom`` is the one
+decoder of the dense matrix form.
 
 Element values are validated once, where they enter: calling
 ``GroupElement`` (and so ``SpeckerGroup.element`` and ``element_from_dict``)
@@ -26,9 +27,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DivisibilityError, SchemaError
+from .errors import SchemaError
 from .ints import INT_LIMIT, checked
-from .mspace import MultiSpace, space_from_dict, space_to_dict
+from .mspace import MultiSpace, check_rows, compose_rows, identity_rows, space_from_dict, space_to_dict
 
 __all__ = [
     "SpeckerGroup",
@@ -419,17 +420,7 @@ class LHom:
     rows: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        dom_mults, cod_mults, ncols = self.dom.base.mults, self.cod.base.mults, len(self.dom.base)
-        if len(self.rows) != len(cod_mults):
-            raise SchemaError(f"matrix has {len(self.rows)} rows, expected {len(cod_mults)}")
-        for r, (c, k) in enumerate(self.rows):
-            if type(c) is not int or type(k) is not int or not 0 <= c < ncols:
-                raise SchemaError(f"row {r}: {(c, k)!r} is not an (int column < {ncols}, int) pair")
-            if k * dom_mults[c] != cod_mults[r]:
-                raise DivisibilityError(
-                    f"row {r}: entry {k} at column {c} gives {k}*{dom_mults[c]} != "
-                    f"{cod_mults[r]}, so the unit is not preserved"
-                )
+        check_rows(self.rows, self.cod.base, self.dom.base)
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -471,7 +462,7 @@ def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
 
 
 def identity_lhom(group: SpeckerGroup) -> LHom:
-    return LHom(group, group, tuple((i, 1) for i in range(len(group.base))))
+    return LHom(group, group, identity_rows(len(group.base)))
 
 
 def compose_lhom(first: LHom, second: LHom) -> LHom:
@@ -482,9 +473,7 @@ def compose_lhom(first: LHom, second: LHom) -> LHom:
     """
     if first.cod != second.dom:
         raise SchemaError("cannot compose: codomain of first != domain of second")
-    inner = first.rows
-    rows = tuple([(inner[c][0], k * inner[c][1]) for c, k in second.rows])
-    return LHom(first.dom, second.cod, rows)
+    return LHom(first.dom, second.cod, compose_rows(second.rows, first.rows))
 
 
 def lhom_point_map(h: LHom) -> dict[str, tuple[str, int]]:

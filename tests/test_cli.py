@@ -81,6 +81,19 @@ def test_hom_counts(tmp_path, capsys):
     assert data["count"] == 2 and len(data["homs"]) == 2
 
 
+def test_hom_above_the_limit_is_refused_first(tmp_path, capsys):
+    # 12 points of multiplicity 1 on each side: 12**12 maps
+    x, y = (
+        write(tmp_path, f"{p}.json", {"points": [{"label": f"{p}{i}", "mult": 1} for i in range(12)]})
+        for p in "xy"
+    )
+    start = time.perf_counter()
+    code, out, err = run(capsys, "hom", x, y)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "math-domain"
+
+
 def test_dual_obj_both_directions(tmp_path, capsys):
     path = write(tmp_path, "ab.json", SPACE_AB)
     code, out, _ = run(capsys, "dual", "obj", path)

@@ -24,7 +24,6 @@ from bms.limits import (
     verify_universal,
 )
 from bms.mspace import (
-    BmsMorphism,
     compose,
     enumerate_homs,
     is_isomorphism,
@@ -162,8 +161,8 @@ def test_verify_universal_matches_naive_oracle():
     sa, sb = new_space(["a"], [2]), new_space(["b"], [3])
     doubled_apex = new_space(["(a,b)"], [12])
     legs = (
-        BmsMorphism(doubled_apex, sa, ("a",)),
-        BmsMorphism(doubled_apex, sb, ("b",)),
+        new_morphism(doubled_apex, sa, {"(a,b)": "a"}),
+        new_morphism(doubled_apex, sb, {"(a,b)": "b"}),
     )
     bad = Cone(doubled_apex, legs)
     diagram2 = Diagram((sa, sb))

@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import pytest
 from hypothesis import assume, given, settings
@@ -8,7 +9,7 @@ from bms.duality import dual_point_map, enumerate_lhoms
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT
 from bms.laws import box_elements
-from bms.mspace import new_space
+from bms.mspace import BmsMorphism, new_space
 from bms.sgroup import (
     GroupElement,
     LHom,
@@ -310,15 +311,20 @@ def test_lhom_pair_errors():
     dom2 = grp(1, 2)
     cod = grp(2)
     assert LHom(dom2, cod, ((1, 1),)).matrix == ((0, 1),)
-    for pair in ((2, 1), (-1, 1), (True, 1), (1, 1.0)):
+    assert BmsMorphism(cod.base, dom2.base, ((1, 1),)).mapping == {"p1": "p2"}
+    # the same rows, read as an LHom and as its dual point map
+    for build in (partial(LHom, dom2, cod), partial(BmsMorphism, cod.base, dom2.base)):
+        for pair in ((2, 1), (-1, 1), (True, 1), (1, 1.0), (1, True)):
+            with pytest.raises(SchemaError):
+                build((pair,))
         with pytest.raises(SchemaError):
-            LHom(dom2, cod, (pair,))
-    with pytest.raises(SchemaError):
-        LHom(dom2, cod, ((0, 2), (1, 1)))            # one row too many
-    with pytest.raises(DivisibilityError):
-        LHom(dom2, cod, ((0, 1),))                   # 1 * 1 != 2
-    with pytest.raises(DivisibilityError):
-        LHom(dom2, cod, ((1, 2),))                   # 2 * 2 != 2
+            build(((0, 2), (1, 1)))                  # one row too many
+        with pytest.raises(SchemaError):
+            build(())                                # one row too few
+        with pytest.raises(DivisibilityError):
+            build(((0, 1),))                         # 1 * 1 != 2
+        with pytest.raises(DivisibilityError):
+            build(((1, 2),))                         # 2 * 2 != 2
 
 
 def test_apply_lhom_overflow():
