@@ -5,9 +5,10 @@ a group to its maximal-ideal space, with multiplicities read off as unit
 residues.  Both round trips are witnessed by explicit isomorphisms, and the
 hom-set bijection can be verified exhaustively on finite objects.
 
-A point map and its dual l-homomorphism have the same rows, in the row form
-of ``mspace``: ``dual_hom``, ``dual_point_map`` and ``spectrum_map`` pass
-them through, and one row check serves both natural isomorphisms.
+An ``LHom`` is a view of its dual point map, so ``dual_hom`` wraps a point
+map and ``dual_point_map`` unwraps it, neither checking anything again.
+``spectrum_map`` carries the same rows onto the maximal-ideal spaces, and
+the counit isomorphism is the dual of the unit's, legs swapped.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ def dual_hom(gamma: BmsMorphism) -> LHom:
     """The unital l-homomorphism dual to a point map (contravariant).
 
     For gamma from W to V this maps functions on V to functions on W by
-    composing with gamma and scaling by gamma's zeta: row w is the pair
-    (gamma(w), zeta(w)), which is gamma's own row w.
+    composing with gamma and scaling by gamma's zeta: the homomorphism whose
+    dual point map is gamma itself.
     """
-    return LHom(function_group(gamma.cod), function_group(gamma.dom), gamma.rows)
+    return LHom(gamma)
 
 
 @functools.lru_cache(maxsize=None)
@@ -91,8 +92,8 @@ def spectrum_map(psi: LHom) -> BmsMorphism:
 
 
 def dual_point_map(psi: LHom) -> BmsMorphism:
-    """The point map dual to psi, on the original base spaces: psi's rows."""
-    return BmsMorphism(psi.cod.base, psi.dom.base, psi.rows)
+    """The point map dual to psi, on the original base spaces."""
+    return psi.point_map
 
 
 @dataclass(frozen=True)
@@ -121,12 +122,12 @@ def unit_iso(space: MultiSpace) -> NaturalIsoWitness:
 def counit_iso(group: SpeckerGroup) -> NaturalIsoWitness:
     """The isomorphism sending each element to its residue function.
 
-    Under the canonical point orders its rows are those of the identity:
-    each point to itself with multiplier 1.
+    Its forward leg, group -> function_group(spectrum_space(group)), is the
+    dual of the unit's backward leg, and its backward leg that of the
+    unit's forward leg.
     """
-    target = function_group(spectrum_space(group))
-    eye = identity_rows(len(group.base))
-    return NaturalIsoWitness(LHom(group, target, eye), LHom(target, group, eye))
+    unit = unit_iso(group.base)
+    return NaturalIsoWitness(LHom(unit.backward), LHom(unit.forward))
 
 
 def triangle_identities_space(space: MultiSpace) -> bool:

@@ -270,7 +270,7 @@ def check_duality_exchange(spaces: Sequence[MultiSpace]) -> list[str]:
         if left != prod.group:
             failures.append(f"coproduct/product exchange fails for {x!r},{y!r}")
         witness = sgroup.identity_lhom(left)
-        if not sgroup.is_isomorphism_lhom(witness):
+        if not is_isomorphism(witness.point_map):
             failures.append(f"exchange witness is not an isomorphism for {x!r},{y!r}")
         for inj, proj in zip(cc.injections, prod.projections):
             if duality.dual_hom(inj) != proj:

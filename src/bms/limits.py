@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from operator import getitem
 from typing import NoReturn, Sequence
 
 from .duality import dual_hom, function_group
-from .errors import MissingColimitError, SchemaError
+from .errors import MissingColimitError, SchemaError, SizeLimitError
 from .ints import checked_lcm
 from .mspace import (
+    HOM_LIMIT,
     BmsMorphism,
     MultiSpace,
     compose_rows,
@@ -52,7 +54,6 @@ __all__ = [
     "group_product",
     "group_coproduct",
     "diagram_from_dict",
-    "diagram_to_dict",
     "cone_to_dict",
     "cocone_to_dict",
 ]
@@ -93,9 +94,13 @@ def limit(diagram: Diagram) -> Cone:
     """The limit cone: compatible point tuples with LCM multiplicities.
 
     Apex points are ordered lexicographically over the canonical component
-    orders; legs are the projections.
+    orders; legs are the projections.  Above ``HOM_LIMIT`` point tuples it
+    raises SizeLimitError before scanning any.
     """
     objs = diagram.objects
+    count = math.prod(len(o) for o in objs)
+    if count > HOM_LIMIT:
+        raise SizeLimitError(f"{count} point tuples exceed the limit of {HOM_LIMIT}")
     points = []
     mults = []
     components = []
@@ -271,16 +276,6 @@ def group_coproduct(s: SpeckerGroup, t: SpeckerGroup) -> GroupCoproduct:
 
 
 # -- JSON forms ---------------------------------------------------------------
-
-def diagram_to_dict(d: Diagram) -> dict:
-    return {
-        "objects": [space_to_dict(o) for o in d.objects],
-        "arrows": [
-            {"src": s, "tgt": t, "map": m.mapping}
-            for s, t, m in d.arrows
-        ],
-    }
-
 
 def diagram_from_dict(data: object) -> Diagram:
     if not isinstance(data, dict) or "objects" not in data:

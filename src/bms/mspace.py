@@ -5,9 +5,10 @@ multiplicity attached to each point.  A morphism is a point map under which
 the codomain multiplicity divides the domain multiplicity pointwise; the
 quotient is the morphism's own multiplicity ``zeta``.
 
-Morphisms and ``sgroup.LHom`` share one row form, checked by ``check_rows``
-and composed by ``compose_rows``: a pair (j, z) per point i, its image j and
-multiplier z with z * m(j) = m(i).  Label maps enter through ``new_morphism``.
+A morphism stores a row (j, z) per domain point i, its image j and multiplier
+z with z * m(j) = m(i), checked once when the ``BmsMorphism`` is built; an
+``sgroup.LHom`` is a view of its dual point map, so that is its one check too.
+``compose_rows`` composes rows; label maps enter through ``new_morphism``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "BmsMorphism",
     "new_space",
     "new_morphism",
-    "check_rows",
     "compose_rows",
     "identity_rows",
     "identity",
@@ -40,7 +40,8 @@ __all__ = [
     "morphism_from_dict",
 ]
 
-# Most morphisms ``enumerate_homs`` builds, counted before it builds any.
+# Most tuples a product scan visits, counted before it visits any: the
+# morphisms of ``enumerate_homs`` and the point tuples of ``limits.limit``.
 HOM_LIMIT = 100_000
 Rows = tuple[tuple[int, int], ...]
 
@@ -116,7 +117,18 @@ class BmsMorphism:
     rows: Rows
 
     def __post_init__(self) -> None:
-        check_rows(self.rows, self.dom, self.cod)
+        rows, mults, cod_mults = self.rows, self.dom.mults, self.cod.mults
+        if len(rows) != len(mults):
+            raise SchemaError(f"{len(rows)} rows for {len(mults)} points")
+        n = len(cod_mults)
+        for i, (j, z) in enumerate(rows):
+            if type(j) is not int or type(z) is not int or not 0 <= j < n:
+                raise SchemaError(f"row {i}: {(j, z)!r} is not an (int index < {n}, int) pair")
+            if z * cod_mults[j] != mults[i]:
+                raise DivisibilityError(
+                    f"row {i}: {z} * multiplicity {cod_mults[j]} of {self.cod.labels[j]!r} "
+                    f"!= multiplicity {mults[i]} of {self.dom.labels[i]!r}"
+                )
 
     @property
     def targets(self) -> tuple[str, ...]:
@@ -141,23 +153,6 @@ class BmsMorphism:
         return f"BmsMorphism({arrows or 'empty'})"
 
 
-def check_rows(rows: Rows, points: MultiSpace, images: MultiSpace) -> None:
-    """Check one pair (j, z) per point i of ``points``: j an int index into
-    ``images`` and z an int with z * m_images(j) = m_points(i)."""
-    mults, image_mults = points.mults, images.mults
-    if len(rows) != len(mults):
-        raise SchemaError(f"{len(rows)} rows for {len(mults)} points")
-    n = len(image_mults)
-    for i, (j, z) in enumerate(rows):
-        if type(j) is not int or type(z) is not int or not 0 <= j < n:
-            raise SchemaError(f"row {i}: {(j, z)!r} is not an (int index < {n}, int) pair")
-        if z * image_mults[j] != mults[i]:
-            raise DivisibilityError(
-                f"row {i}: {z} * multiplicity {image_mults[j]} of {images.labels[j]!r} "
-                f"!= multiplicity {mults[i]} of {points.labels[i]!r}"
-            )
-
-
 def compose_rows(first: Rows, second: Rows) -> Rows:
     """Point i goes to j by ``first`` and on to l by ``second``: its composite
     row is (l, z * z') for first[i] = (j, z) and second[j] = (l, z')."""
@@ -176,7 +171,7 @@ def new_morphism(dom: MultiSpace, cod: MultiSpace, gamma: Mapping[str, str]) -> 
     missing = [l for l in dom.labels if l not in gamma]
     if missing:
         raise SchemaError(f"point map missing domain labels {missing}")
-    extra = [l for l in gamma if l not in dom.labels]
+    extra = [l for l in gamma if l not in dom._index]
     if extra:
         raise SchemaError(f"point map mentions unknown labels {extra}")
     targets = [cod.index(gamma[l]) for l in dom.labels]

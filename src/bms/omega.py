@@ -40,7 +40,6 @@ __all__ = [
     "not_specker_demo",
     "countable_power_demo",
     "pushout_demo",
-    "comparison_multiplicity",
     "PUSHOUT_BOUND_LIMIT",
 ]
 
@@ -286,28 +285,21 @@ def countable_power_demo(max_k: int = 10) -> dict:
     }
 
 
-def comparison_multiplicity(n: int) -> ECSeq:
-    """Multiplicity constantly 1 except the value 2 at position n."""
-    if n < 0:
-        raise SchemaError("position must be nonnegative")
-    return ECSeq((1,) * n + (2,), 1)
-
-
 def pushout_demo(bound: int = 16) -> dict:
     """Replay of the forced multiplicities of a missing pushout.
 
     Gluing a multiplicity-1 singleton onto the accumulation point of the
     constant-2 compactified naturals forces v(inf) = 1, while comparison
-    against the spaces of ``comparison_multiplicity`` forces v(n) = 2 for
-    every n up to the bound (v(n) must be both a multiple and a divisor of
-    2).  No eventually constant, hence no continuous, multiplicity function
+    against the multiplicity that is 2 at n and 1 elsewhere forces v(n) = 2
+    for every n up to the bound (v(n) must be both a multiple and a divisor
+    of 2).  No eventually constant, hence no continuous, multiplicity function
     satisfies all constraints: a tail of 1 needs a prefix longer than any
     fixed bound as the bound grows.  A bound above ``PUSHOUT_BOUND_LIMIT``
     raises SizeLimitError before any work.
     """
     if bound > PUSHOUT_BOUND_LIMIT:
         raise SizeLimitError(f"pushout bound {bound} exceeds the limit of {PUSHOUT_BOUND_LIMIT}")
-    # comparison_multiplicity(n) is 2 at n, a divisor of 2: each forces v(n) = 2
+    # the comparison multiplicity is 2 at n, a divisor of 2: each forces v(n) = 2
     forced = {"inf": 1, **{str(n): 2 for n in range(bound + 1)}}
 
     # an ECSeq with tail 1 and value 2 on 0..bound needs prefix length > bound

@@ -2,11 +2,12 @@
 
 A group is carried as the integer-vector group over a multispace, with the
 multiplicity function as its distinguished unit.  Elements support pointwise
-group and lattice operations; maximal ideals correspond to points, closed-set
-ideals to subsets of points, and unital l-homomorphisms to point maps with
-multipliers: an ``LHom`` stores the row form of ``mspace``, one (column,
-multiplier) pair per codomain point, and ``validate_lhom`` is the one
-decoder of the dense matrix form.
+group and lattice operations; maximal ideals correspond to points and
+closed-set ideals to subsets of points.  A unital l-homomorphism is a view
+of its dual point map: ``LHom`` holds one ``mspace.BmsMorphism`` from the
+codomain's base to the domain's, whose constructor is the one row check,
+and composition, identities and the dual maps of ``duality`` are those of
+point maps.  ``validate_lhom`` is the one decoder of the dense matrix form.
 
 Element values are validated once, where they enter: calling
 ``GroupElement`` (and so ``SpeckerGroup.element`` and ``element_from_dict``)
@@ -29,7 +30,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import SchemaError
 from .ints import INT_LIMIT, checked
-from .mspace import MultiSpace, check_rows, compose_rows, identity_rows, space_from_dict, space_to_dict
+from .mspace import BmsMorphism, MultiSpace, compose, identity, space_from_dict, space_to_dict
 
 __all__ = [
     "SpeckerGroup",
@@ -59,11 +60,8 @@ __all__ = [
     "apply_lhom",
     "identity_lhom",
     "compose_lhom",
-    "lhom_point_map",
-    "is_isomorphism_lhom",
     "group_to_dict",
     "group_from_dict",
-    "element_to_dict",
     "element_from_dict",
     "lhom_to_dict",
     "lhom_from_dict",
@@ -408,19 +406,26 @@ def hyperarch_witness_by_scan(f: GroupElement, g: GroupElement) -> int:
 
 @dataclass(frozen=True)
 class LHom:
-    """A unital l-homomorphism, stored as its dual point map with multipliers.
+    """A unital l-homomorphism dom -> cod, as a view of its dual point map.
 
-    ``rows[r] = (c, k)`` for codomain point r: the image of f is k * f[c] at r,
-    so c is gamma(r) and k is zeta(r), and k * unit_dom(c) = unit_cod(r) keeps
-    the unit.  ``matrix`` derives the dense form: row r holds k at column c.
+    ``point_map`` gamma goes from cod's base to dom's base.  Its row
+    r = (c, k) for codomain point r says the image of f is k * f[c] at r,
+    so c is gamma(r) and k is zeta(r), and k * unit_dom(c) = unit_cod(r)
+    keeps the unit.  ``matrix`` derives the dense form: row r holds k at
+    column c.
     """
 
-    dom: SpeckerGroup
-    cod: SpeckerGroup
-    rows: tuple[tuple[int, int], ...]
+    point_map: BmsMorphism
+    dom: SpeckerGroup = field(init=False, compare=False, repr=False)
+    cod: SpeckerGroup = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        check_rows(self.rows, self.cod.base, self.dom.base)
+        object.__setattr__(self, "dom", SpeckerGroup(self.point_map.cod))
+        object.__setattr__(self, "cod", SpeckerGroup(self.point_map.dom))
+
+    @property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        return self.point_map.rows
 
     @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -437,7 +442,7 @@ def validate_lhom(
 ) -> LHom:
     """Decode a dense matrix: each row needs checked entries, the domain's
     width and exactly one positive entry, which becomes its (column, k) pair;
-    ``LHom`` then checks the row count and the unit."""
+    the dual point map then checks the row count and the unit."""
     ncols = len(dom.base)
     rows = []
     for r, row in enumerate(matrix):
@@ -450,7 +455,7 @@ def validate_lhom(
         if len(positives) != 1:
             raise SchemaError(f"row {r} has {len(positives)} positive entries, expected exactly 1")
         rows.append(positives[0])
-    return LHom(dom, cod, tuple(rows))
+    return LHom(BmsMorphism(cod.base, dom.base, tuple(rows)))
 
 
 def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
@@ -462,31 +467,16 @@ def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
 
 
 def identity_lhom(group: SpeckerGroup) -> LHom:
-    return LHom(group, group, identity_rows(len(group.base)))
+    return LHom(identity(group.base))
 
 
 def compose_lhom(first: LHom, second: LHom) -> LHom:
     """Diagrammatic composition: apply ``first``, then ``second``.
 
-    Row (c, k) of ``second`` reads k * (k' * f[c']) for row (c', k') = c of
-    ``first``, so the composite row is (c', k * k').
+    Contravariance: the dual point map of the composite is that of
+    ``second`` followed by that of ``first``.
     """
-    if first.cod != second.dom:
-        raise SchemaError("cannot compose: codomain of first != domain of second")
-    return LHom(first.dom, second.cod, compose_rows(second.rows, first.rows))
-
-
-def lhom_point_map(h: LHom) -> dict[str, tuple[str, int]]:
-    """Each codomain point's source point and multiplier."""
-    labels = h.dom.base.labels
-    return {w: (labels[c], k) for w, (c, k) in zip(h.cod.base.labels, h.rows)}
-
-
-def is_isomorphism_lhom(h: LHom) -> bool:
-    """True iff the rows form a unit-compatible permutation (all multipliers 1)."""
-    if len(h.dom.base) != len(h.cod.base):
-        return False
-    return len({c for c, _ in h.rows}) == len(h.rows) and all(k == 1 for _, k in h.rows)
+    return LHom(compose(second.point_map, first.point_map))
 
 
 # -- JSON forms ---------------------------------------------------------------
@@ -499,10 +489,6 @@ def group_from_dict(data: object) -> SpeckerGroup:
     if not isinstance(data, dict) or "space" not in data:
         raise SchemaError("group JSON must be an object with a 'space' field")
     return SpeckerGroup(space_from_dict(data["space"]))
-
-
-def element_to_dict(g: GroupElement) -> dict:
-    return {"group": group_to_dict(g.group), "values": list(g.values)}
 
 
 def element_from_dict(data: object) -> GroupElement:

@@ -72,6 +72,16 @@ def test_morph_check_and_divisibility_error(tmp_path, capsys):
     assert json.loads(err)["kind"] == "math-domain"
 
 
+def test_morph_check_is_linear_in_the_points(tmp_path, capsys):
+    space = {"points": [{"label": f"p{i}", "mult": 1} for i in range(20_000)]}
+    ident = {"dom": space, "cod": space, "map": {f"p{i}": f"p{i}" for i in range(20_000)}}
+    path = write(tmp_path, "id.json", ident)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "morph", "check", path)
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out) == ident
+
+
 def test_hom_counts(tmp_path, capsys):
     x = write(tmp_path, "x.json", {"points": [{"label": "x", "mult": 2}]})
     y = write(tmp_path, "y.json", SPACE_AB)
@@ -167,6 +177,17 @@ def test_limit_diagram(tmp_path, capsys):
     code, out, _ = run(capsys, "limit", "--diagram", path)
     assert code == 0
     assert json.loads(out)["apex"]["points"][0]["mult"] == 6
+
+
+def test_limit_above_the_limit_is_refused_first(tmp_path, capsys):
+    # 5 objects of 12 points: 12**5 = 248,832 point tuples
+    obj = {"points": [{"label": f"p{i}", "mult": 1} for i in range(12)]}
+    path = write(tmp_path, "d.json", {"objects": [obj] * 5, "arrows": []})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "limit", "--diagram", path)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "math-domain"
 
 
 def test_gamma_report(tmp_path, capsys):

@@ -17,12 +17,20 @@ from bms.duality import (
 )
 from bms.laws import (
     all_spaces,
+    box_elements,
     check_functoriality,
     check_naturality,
     check_stone_restriction,
 )
 from bms.mspace import compose, enumerate_homs, identity, is_isomorphism, new_morphism, new_space
-from bms.sgroup import SpeckerGroup, compose_lhom, identity_lhom, validate_lhom
+from bms.sgroup import (
+    MaximalIdeal,
+    SpeckerGroup,
+    apply_lhom,
+    compose_lhom,
+    identity_lhom,
+    validate_lhom,
+)
 
 AB = new_space(["a", "b"], [1, 2])
 EMPTY = new_space([], [])
@@ -124,6 +132,27 @@ def test_dual_point_map_inverts_dual_hom_everywhere():
     for x, y in itertools.product(spaces, repeat=2):
         for psi in enumerate_lhoms(function_group(y), function_group(x)):
             assert dual_hom(dual_point_map(psi)) == psi
+
+
+def test_dual_hom_by_definition():
+    # reads labels and element values only, never rows: psi(f) is
+    # zeta * (f o gamma), the ideal at gamma(x) pulls back to the ideal at x,
+    # and the spectrum map sends the ideal at x to the ideal at gamma(x)
+    spaces = all_spaces(2, 3)
+    for x, y in itertools.product(spaces, repeat=2):
+        gx, gy = function_group(x), function_group(y)
+        for gamma in enumerate_homs(x, y):
+            psi = dual_hom(gamma)
+            assert psi.point_map is gamma and dual_point_map(psi) is gamma
+            ideals = [(p, MaximalIdeal(gx, p), MaximalIdeal(gy, gamma(p))) for p in x.labels]
+            for f in box_elements(function_group(gamma.cod), -2, 2):
+                image = apply_lhom(psi, f)
+                for p, at_p, at_image in ideals:
+                    assert image.value(p) == gamma.zeta(p) * f.value(gamma(p))
+                    assert at_image.contains(f) == at_p.contains(image)
+            spec = spectrum_map(psi)
+            for p in x.labels:
+                assert spec("m_" + p) == "m_" + gamma(p)
 
 
 def test_functoriality_small_universe():

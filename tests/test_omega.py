@@ -12,7 +12,6 @@ from bms.omega import (
     INFINITY,
     ECSeq,
     combine,
-    comparison_multiplicity,
     const,
     countable_power_demo,
     ec_add,
@@ -205,12 +204,6 @@ def test_countable_power_demo_report():
     assert report["all_b_v"] == 2
     assert report["discontinuous"]
     assert list(report)[-1] == "confirmed" and report["confirmed"]
-
-
-def test_comparison_multiplicity():
-    v3 = comparison_multiplicity(3)
-    assert [ec_value(v3, i) for i in range(6)] == [1, 1, 1, 2, 1, 1]
-    assert ec_value(v3, INFINITY) == 1
 
 
 def test_pushout_demo_report():
