@@ -216,7 +216,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.which == "not-specker":
             report = omega.not_specker_demo(seed=args.seed)
         elif args.which == "power":
-            report = omega.countable_power_demo(max_k=min(args.bound, 64))
+            report = omega.countable_power_demo(max_k=args.bound)
         else:
             report = omega.pushout_demo(bound=args.bound)
         _emit(report)

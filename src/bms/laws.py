@@ -111,13 +111,13 @@ def representative_spaces() -> list[MultiSpace]:
 
 
 def check_category_laws(
-    spaces: Sequence[MultiSpace], triple_spaces: Sequence[MultiSpace] | None = None
+    spaces: Sequence[MultiSpace], triple_spaces: Sequence[MultiSpace]
 ) -> list[str]:
     """Identity and associativity laws, plus zeta multiplicativity and the
     two characterizations of isomorphism, over enumerated morphisms.
 
-    The cubic associativity sweep runs over ``triple_spaces`` (defaults to
-    ``spaces``); the quadratic checks run over all of ``spaces``.
+    The cubic associativity sweep runs over ``triple_spaces``; the quadratic
+    checks run over all of ``spaces``.
     """
     failures = []
     for x, y in itertools.product(spaces, repeat=2):
@@ -135,8 +135,6 @@ def check_category_laws(
             )
             if has_inverse != is_isomorphism(f):
                 failures.append(f"isomorphism characterizations disagree for {f!r}")
-    if triple_spaces is None:
-        triple_spaces = spaces
     for x, y in itertools.product(triple_spaces, repeat=2):
         for f in enumerate_homs(x, y):
             for z in triple_spaces:
@@ -320,13 +318,14 @@ def check_gamma_laws(groups: Sequence[SpeckerGroup]) -> list[str]:
 
 # -- singular elements and ideals ----------------------------------------------
 
-def check_singular_theory(groups: Sequence[SpeckerGroup], box: int = 2) -> list[str]:
+def check_singular_theory(groups: Sequence[SpeckerGroup]) -> list[str]:
     """Singular counts, both singularity tests, the support isomorphism, and
-    unit residues of the greatest singular element."""
+    unit residues of the greatest singular element, over the elements with
+    values in [-1, max(2, unit)]."""
     failures = []
     for g in groups:
         n = len(g.base)
-        lo, hi = -1, max([box, *g.base.mults])
+        lo, hi = -1, max([2, *g.base.mults])
         singulars = []
         for f in box_elements(g, lo, hi):
             quick = sgroup.is_singular(f)
@@ -352,7 +351,9 @@ def check_singular_theory(groups: Sequence[SpeckerGroup], box: int = 2) -> list[
     return failures
 
 
-def check_ideal_correspondence(groups: Sequence[SpeckerGroup], box: int = 2) -> list[str]:
+def check_ideal_correspondence(groups: Sequence[SpeckerGroup]) -> list[str]:
+    """Zero-set round trips and both maximality tests on every subset of
+    points, and inclusion reversal on the elements with values in [-2, 2]."""
     failures = []
     for g in groups:
         labels = g.base.labels
@@ -369,7 +370,7 @@ def check_ideal_correspondence(groups: Sequence[SpeckerGroup], box: int = 2) -> 
                 failures.append(f"zeroset round trip fails at {set(z)}")
             if sgroup.is_maximal(ideal) != sgroup.is_maximal_by_criterion(ideal):
                 failures.append(f"maximality tests disagree at {set(z)}")
-        elements = list(box_elements(g, -box, box))
+        elements = list(box_elements(g, -2, 2))
         for z1, z2 in itertools.product(subsets, repeat=2):
             if z1 <= z2:
                 i1 = sgroup.ideal_from_zeroset(g, z1)

@@ -1,10 +1,12 @@
 """Finite limits and coproducts of multispaces, with universal-property checks.
 
 Limit apexes are compatible tuples of points; the apex multiplicity is the
-least common multiple of the component multiplicities.  Coproducts are
-disjoint unions.  Products and coproducts of Specker groups are obtained
-through the duality.  Pushouts and coequalizers are deliberately absent:
-the category does not have them in general.
+least common multiple of the component multiplicities.  ``verify_universal``
+checks their universal property at one-point spaces, which decides it at
+every test apex; its ``cones`` counts the cones from the test apexes.
+Coproducts are disjoint unions.  Products and coproducts of Specker groups
+are obtained through the duality.  Pushouts and coequalizers are
+deliberately absent: the category does not have them in general.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from operator import getitem
 from typing import NoReturn, Sequence
 
 from .duality import dual_hom, function_group
@@ -187,40 +189,32 @@ def verify_universal(
 ) -> dict:
     """Check existence and uniqueness of mediating morphisms into the cone.
 
-    For every commuting cone from every test apex there must be exactly one
-    morphism into the candidate apex commuting with the legs.  Mediating
-    morphisms are scanned as index tuples and keyed by the rows of their
-    composites with the legs, read from tables built once per test
-    multiplicity; cones are keyed by the stored rows of their legs.
+    For every commuting cone from every test apex T there must be exactly one
+    morphism into the candidate apex commuting with the legs.  As Hom(T, L) =
+    prod_{t in T} Hom({t}, L), this holds at T iff it holds at the one-point
+    space of each multiplicity of T: it is checked there once, and reported
+    for the multiplicities of test apexes with a cone.  ``cones`` counts the
+    cones from the test apexes: sum over T of prod over t in T of cones({t}).
     """
-    apex = candidate.apex
-    violations = []
-    cones_checked = 0
-    mults = {tm for t in test_apexes for tm in t.mults}
-    cands = {tm: [i for i, am in enumerate(apex.mults) if tm % am == 0] for tm in mults}
-    via = [
-        {tm: [(c, tm // am * z) for (c, z), am in zip(leg.rows, apex.mults)] for tm in mults}
-        for leg in candidate.legs
-    ]
-    for t in test_apexes:
-        cand_idx = [cands[tm] for tm in t.mults]
-        tables = [[v[tm] for tm in t.mults] for v in via]
-        mediator_count: dict[tuple, int] = {}
-        for combo in itertools.product(*cand_idx):
-            key = tuple([tuple(map(getitem, tab, combo)) for tab in tables])
-            mediator_count[key] = mediator_count.get(key, 0) + 1
-        for legs in _cones_from(t, diagram):
-            cones_checked += 1
-            n = mediator_count.get(tuple([l.rows for l in legs]), 0)
-            if n == 0:
-                violations.append(
-                    f"no mediating morphism from {t!r} for cone {[l.targets for l in legs]}"
-                )
-            elif n > 1:
-                violations.append(
-                    f"{n} mediating morphisms from {t!r} for cone {[l.targets for l in legs]}"
-                )
-    return {"cones": cones_checked, "violations": violations}
+    found: dict[int, tuple[int, list[str]]] = {}
+    for m in sorted({tm for t in test_apexes for tm in t.mults}):
+        point = new_space(["t"], [m])
+        mediators = Counter(
+            tuple([compose_rows(((a, m // am),), leg.rows) for leg in candidate.legs])
+            for a, am in enumerate(candidate.apex.mults)
+            if m % am == 0
+        )
+        cones = _cones_from(point, diagram)
+        messages = []
+        for legs in cones:
+            n = mediators[tuple([l.rows for l in legs])]
+            if n != 1:
+                what = f"{n} mediating morphisms" if n else "no mediating morphism"
+                messages.append(f"{what} from {point!r} for cone {[l.targets for l in legs]}")
+        found[m] = (len(cones), messages)
+    counts = [math.prod(found[tm][0] for tm in t.mults) for t in test_apexes]
+    decided = sorted({tm for t, n in zip(test_apexes, counts) if n for tm in t.mults})
+    return {"cones": sum(counts), "violations": [v for m in decided for v in found[m][1]]}
 
 
 def verify_couniversal(candidate: Cocone, test_apexes: Sequence[MultiSpace]) -> dict:
@@ -278,8 +272,10 @@ def group_coproduct(s: SpeckerGroup, t: SpeckerGroup) -> GroupCoproduct:
 # -- JSON forms ---------------------------------------------------------------
 
 def diagram_from_dict(data: object) -> Diagram:
-    if not isinstance(data, dict) or "objects" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("objects"), list):
         raise SchemaError("diagram JSON needs an 'objects' array")
+    if not isinstance(data.get("arrows", []), list):
+        raise SchemaError("diagram 'arrows' must be an array")
     objects = tuple(space_from_dict(o) for o in data["objects"])
     arrows = []
     for a in data.get("arrows", []):

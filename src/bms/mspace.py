@@ -174,6 +174,8 @@ def new_morphism(dom: MultiSpace, cod: MultiSpace, gamma: Mapping[str, str]) -> 
     extra = [l for l in gamma if l not in dom._index]
     if extra:
         raise SchemaError(f"point map mentions unknown labels {extra}")
+    if not all(isinstance(gamma[l], str) for l in dom.labels):
+        raise SchemaError("'map' values must be point labels")
     targets = [cod.index(gamma[l]) for l in dom.labels]
     return BmsMorphism(dom, cod, tuple([(j, m // cod.mults[j]) for j, m in zip(targets, dom.mults)]))
 

@@ -43,7 +43,7 @@ __all__ = [
     "PUSHOUT_BOUND_LIMIT",
 ]
 
-# Largest ``bound`` of ``pushout_demo``, whose report lists bound + 2 forced values.
+# Largest bound of ``pushout_demo`` and ``countable_power_demo``, whose reports grow with it.
 PUSHOUT_BOUND_LIMIT = 1024
 
 
@@ -268,8 +268,11 @@ def countable_power_demo(max_k: int = 10) -> dict:
     coordinates and the multiplicity-2 letter afterwards; every witness
     forces LCM multiplicity 2, yet their coordinatewise limit (the constant
     multiplicity-1 point) forces 1, so the LCM multiplicity is not
-    continuous at the limit; ``confirmed`` reports that.
+    continuous at the limit; ``confirmed`` reports that.  A ``max_k`` above
+    ``PUSHOUT_BOUND_LIMIT`` raises SizeLimitError before any work.
     """
+    if max_k > PUSHOUT_BOUND_LIMIT:
+        raise SizeLimitError(f"power bound {max_k} exceeds the limit of {PUSHOUT_BOUND_LIMIT}")
     def lcm(a: ECSeq) -> int:
         return checked_lcm([*a.prefix, a.tail])
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import SchemaError
 from .ints import INT_LIMIT, checked
@@ -339,24 +339,21 @@ def is_maximal(ideal: ClosedSetIdeal) -> bool:
     return len(ideal.zeroset) == 1
 
 
-def is_maximal_by_criterion(
-    ideal: ClosedSetIdeal, candidates: Optional[Iterable[GroupElement]] = None
-) -> bool:
+def is_maximal_by_criterion(ideal: ClosedSetIdeal) -> bool:
     """Elementary maximality test: the ideal is proper and every element
     outside it pushes the unit into the ideal after scaling.
 
     For each candidate a not in the ideal, searches n in [0, max(unit)] with
-    (u - n*|a|) \\/ 0 in the ideal.  By default quantifies a over all
-    elements with values in [-1, 1] together with the unit, which is enough
-    to separate singletons from larger zero sets at desk scale.
+    (u - n*|a|) \\/ 0 in the ideal.  Quantifies a over all elements with
+    values in [-1, 1] together with the unit, which is enough to separate
+    singletons from larger zero sets at desk scale.
     """
     group = ideal.group
     u = group.unit()
     if ideal.contains(u):
         return False
-    if candidates is None:
-        boxes = itertools.product(*([(-1, 0, 1)] * len(group.base)))
-        candidates = [GroupElement(group, vals) for vals in boxes] + [u]
+    boxes = itertools.product(*([(-1, 0, 1)] * len(group.base)))
+    candidates = [GroupElement(group, vals) for vals in boxes] + [u]
     zero = group.zero()
     nmax = max(group.base.mults, default=0)
     for a in candidates:

@@ -1,7 +1,10 @@
+import itertools
 import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bms import cli
 from bms.cli import main
@@ -293,9 +296,11 @@ def test_pushout_bound_limit(capsys):
     limit = cli.omega.PUSHOUT_BOUND_LIMIT
     code, out, _ = run(capsys, "omega", "demo", "--which", "pushout", "--bound", str(limit))
     assert code == 0 and json.loads(out)["min_prefix_length"] == limit + 1
-    for bound in (limit + 1, 10**9):
+    code, out, _ = run(capsys, "omega", "demo", "--which", "power", "--bound", str(limit))
+    assert code == 0 and len(json.loads(out)["witnesses"]) == limit + 1
+    for which, bound in itertools.product(("pushout", "power"), (limit + 1, 10**9)):
         start = time.perf_counter()
-        code, out, err = run(capsys, "omega", "demo", "--which", "pushout", "--bound", str(bound))
+        code, out, err = run(capsys, "omega", "demo", "--which", which, "--bound", str(bound))
         assert time.perf_counter() - start < 1
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and json.loads(err)["kind"] == "math-domain"
@@ -365,3 +370,57 @@ def test_determinism(tmp_path, capsys):
     _, out1, _ = run(capsys, "hom", x, y)
     _, out2, _ = run(capsys, "hom", x, y)
     assert out1 == out2
+
+
+# -- fuzzing the file inputs ----------------------------------------------------
+
+_KEYS = st.text("abvx", max_size=2)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(-2, 2) | _KEYS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=6,
+)
+# valid documents of each kind, with every verb that reads that kind; a None
+# slot takes the file a second time, for the two-file verbs
+_MORPH_VERBS = [["morph", "check"], ["dual", "mor"], ["equalizer", None], ["pullback", None], ["export-dot"]]
+_FILE_INPUTS = [
+    ([SPACE_AB], [["space", "check"], ["hom", None], ["dual", "obj"], ["product", None], ["coproduct", None]]),
+    ([{"space": SPACE_AB}], [["dual", "obj"], ["gamma"]]),
+    ([MORPH_XV, {"dom": SPACE_AB, "cod": SPACE_AB, "map": {"a": "a", "b": "b"}}], _MORPH_VERBS),
+    ([{"dom": {"space": SPACE_V2}, "cod": {"space": SPACE_X4}, "matrix": [[2]]}], [["dual", "mor"]]),
+    ([{"objects": [SPACE_X4, SPACE_V2], "arrows": [{"src": 0, "tgt": 1, "map": {"x": "v"}}]}],
+     [["limit", "--diagram"]]),
+]
+
+
+def _with_one_replaced(draw, doc):
+    """``doc`` with one position, the whole of it included, replaced by a
+    small JSON value: each level stops or descends into one of its children."""
+    keys = list(doc) if isinstance(doc, dict) else range(len(doc)) if isinstance(doc, list) else []
+    key = draw(st.sampled_from([None, *keys]))
+    if key is None:
+        return draw(_JSON)
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[key] = _with_one_replaced(draw, doc[key])
+    return copy
+
+
+@st.composite
+def _requests(draw):
+    """A verb that reads a file and a near-valid document for it; the kind
+    of document is drawn first, so each kind gets a fair share."""
+    docs, verbs = draw(st.sampled_from(_FILE_INPUTS))
+    return draw(st.sampled_from(verbs)), _with_one_replaced(draw, draw(st.sampled_from(docs)))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=_requests())
+def test_file_inputs_exit_with_a_documented_code(tmp_path, capsys, request):
+    verb, doc = request
+    path = write(tmp_path, "fuzz.json", doc)
+    code, out, err = run(capsys, *[path if a is None else a for a in verb], path)
+    assert code in (0, 2, 3, 4), err
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
+        json.loads(err)

@@ -24,6 +24,7 @@ from bms.limits import (
     verify_universal,
 )
 from bms.mspace import (
+    BmsMorphism,
     compose,
     enumerate_homs,
     is_isomorphism,
@@ -171,6 +172,61 @@ def test_verify_universal_matches_naive_oracle():
     slow2 = _naive_universal(bad, diagram2, apexes6)
     assert fast2["violations"] and slow2
     assert any("no mediating" in v for v in fast2["violations"])
+
+
+def _naive_cone_count(diagram, test_apexes):
+    """The number of cones from the test apexes, enumerated as the oracle does."""
+    return sum(
+        all(compose(legs[s], m) == legs[j] for s, j, m in diagram.arrows)
+        for t in test_apexes
+        for legs in itertools.product(*(enumerate_homs(t, obj) for obj in diagram.objects))
+    )
+
+
+def _with_a_point_duplicated_or_dropped(cone):
+    """The cone, then for each apex point the cone with that point
+    duplicated and the cone with it dropped."""
+    yield cone
+    apex = cone.apex
+    for i in range(len(apex)):
+        dup = new_space([*apex.labels, "dup"], [*apex.mults, apex.mults[i]])
+        yield Cone(dup, tuple(BmsMorphism(dup, l.cod, l.rows + (l.rows[i],)) for l in cone.legs))
+        keep = [j for j in range(len(apex)) if j != i]
+        cut = new_space([apex.labels[j] for j in keep], [apex.mults[j] for j in keep])
+        yield Cone(cut, tuple(BmsMorphism(cut, l.cod, tuple(l.rows[j] for j in keep)) for l in cone.legs))
+
+
+def test_verify_universal_point_checks_match_naive_oracle():
+    pairs = itertools.product(all_spaces(2, 2), repeat=2)
+    cases = [(product(x, y), Diagram((x, y))) for x, y in pairs]
+    for x, y in itertools.product(all_spaces(1, 3), repeat=2):
+        for f, g in itertools.product(enumerate_homs(x, y), repeat=2):
+            cases.append((equalizer(f, g), Diagram((x, y), ((0, 1, f), (0, 1, g)))))
+    apexes = all_spaces(2, 2)
+    seen = [0, 0]
+    for cone, diagram in cases:
+        for candidate in _with_a_point_duplicated_or_dropped(cone):
+            report = verify_universal(candidate, diagram, apexes)
+            naive = _naive_universal(candidate, diagram, apexes)
+            assert bool(report["violations"]) == bool(naive)
+            assert report["cones"] == _naive_cone_count(diagram, apexes)
+            seen[bool(naive)] += 1
+    assert min(seen) > 0
+
+
+def test_verify_universal_reports_only_what_a_test_apex_decides():
+    # no cone from a multiplicity-1 point reaches the multiplicity-2 objects,
+    # so no cone from the two-point apex reaches the duplicated point
+    a2, b2 = new_space(["a"], [2]), new_space(["b"], [2])
+    dup = next(c for c in _with_a_point_duplicated_or_dropped(product(a2, b2)) if len(c.apex) == 2)
+    diagram = Diagram((a2, b2))
+    apexes = [new_space(["p1", "p2"], [2, 1])]
+    assert _naive_universal(dup, diagram, apexes) == []
+    assert verify_universal(dup, diagram, apexes) == {"cones": 0, "violations": []}
+    report = verify_universal(dup, diagram, [new_space(["p1"], [2])])
+    assert report["cones"] == 1 and report["violations"] == [
+        "2 mediating morphisms from MultiSpace(t:2) for cone [('a',), ('b',)]"
+    ]
 
 
 def test_verify_universal_empty_diagram():
