@@ -7,19 +7,27 @@ mathematical domain error (divisibility, overflow or a size limit), 4
 verification failure, 5 internal error (any other exception, such as
 running out of memory).  Every error is one JSON line on stderr with an
 empty stdout.  Randomized commands take --seed and default to seed 0.
+
+``main`` may be called many times in one process.  The argument parser is
+built on the first call and shared by the later ones; it keeps no state
+between calls.  ``hom`` encodes its two spaces once and each morphism adds
+only its map, but its output is byte for byte the ``json.dumps`` of the
+``{"count", "homs"}`` object of ``morphism_to_dict`` forms, as before.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import duality, laws, limits, mv, omega
 from .errors import MathDomainError, SchemaError
 from .mspace import (
     BmsMorphism,
+    MultiSpace,
     enumerate_homs,
     morphism_from_dict,
     morphism_to_dict,
@@ -91,6 +99,7 @@ def export_dot(m: BmsMorphism) -> str:
     return "\n".join(lines)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(
         prog="bms",
@@ -150,6 +159,19 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _homs_json(x: MultiSpace, y: MultiSpace, homs: Sequence[BmsMorphism]) -> Iterator[str]:
+    """``json.dumps({"count": len(homs), "homs": [morphism_to_dict(h) ...]})``
+    in pieces.  The spaces and the labels are encoded once; each morphism
+    adds only its map, joined with the default separators of ``json.dumps``."""
+    head = f'{{"dom": {json.dumps(space_to_dict(x))}, "cod": {json.dumps(space_to_dict(y))}, "map": {{'
+    keys = [json.dumps(label) + ": " for label in x.labels]
+    values = [json.dumps(label) for label in y.labels]
+    yield f'{{"count": {len(homs)}, "homs": ['
+    for n, h in enumerate(homs):
+        yield (", " if n else "") + head + ", ".join([k + values[j] for k, (j, _) in zip(keys, h.rows)]) + "}}"
+    yield "]}"
+
+
 def _dual_obj(data: object) -> dict:
     if isinstance(data, dict) and "points" in data:
         return group_to_dict(duality.function_group(space_from_dict(data)))
@@ -174,8 +196,8 @@ def _run(args: argparse.Namespace) -> int:
     elif args.verb == "hom":
         x = space_from_dict(_load(args.x))
         y = space_from_dict(_load(args.y))
-        homs = enumerate_homs(x, y)
-        _emit({"count": len(homs), "homs": [morphism_to_dict(h) for h in homs]})
+        sys.stdout.writelines(_homs_json(x, y, enumerate_homs(x, y)))
+        print()
     elif args.verb == "dual":
         data = _load(args.file)
         _emit(_dual_obj(data) if args.what == "obj" else _dual_mor(data))

@@ -23,7 +23,10 @@ def write(tmp_path, name, data):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on bad arguments and on --help
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -370,6 +373,55 @@ def test_determinism(tmp_path, capsys):
     _, out1, _ = run(capsys, "hom", x, y)
     _, out2, _ = run(capsys, "hom", x, y)
     assert out1 == out2
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    calls = [
+        ("laws", "--max-points", "1", "--max-mult", "2"),
+        ("laws",),
+        ("laws", "--max-points", "two"),
+        ("--help",),
+        ("omega", "demo", "--which", "power", "--bound", "3"),
+        ("omega", "demo", "--which", "pushout"),
+        ("laws", "--max-points", "1", "--max-mult", "2"),
+    ]
+    first = {}
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        first[argv] = run(capsys, *argv)
+    results = {argv: run(capsys, *argv) for argv in calls}  # one process, one parser
+    assert results == first
+
+    assert json.loads(results[calls[0]][1])["bounds"]["max_points"] == 1
+    assert json.loads(results[("laws",)][1])["bounds"] == {"max_points": 2, "max_mult": 3, "seed": 0}
+    code, out, err = results[("laws", "--max-points", "two")]
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["kind"] == "schema"
+    assert results[("--help",)][0] == 0
+    assert json.loads(results[calls[5]][1])["bound"] == 16
+
+
+def _space(labels, mults):
+    return {"points": [{"label": l, "mult": m} for l, m in zip(labels, mults)]}
+
+
+def test_hom_output_is_byte_identical_to_dumps(tmp_path, capsys):
+    spaces = [cli.space_to_dict(s) for s in cli.laws.all_spaces(2, 3)]
+    pairs = list(itertools.product(spaces, repeat=2))
+    odd = _space(['a"b', "c\\", "é", "☃"], [2, 4, 6, 1])
+    pairs += [(odd, odd), (odd, _space(["☃\\", '"'], [1, 2]))]
+    pairs += [(_space([], []), odd), (_space(["p"], [1]), _space(["q"], [2]))]
+    big = (_space([f"x{i}" for i in range(5)], [6, 6, 6, 12, 12]),
+           _space([f"y{i}" for i in range(6)], [1, 2, 3, 4, 6, 12]))
+    pairs.append(big)
+    counts = []
+    for x, y in pairs:
+        homs = enumerate_homs(cli.space_from_dict(x), cli.space_from_dict(y))
+        expected = json.dumps({"count": len(homs), "homs": [cli.morphism_to_dict(h) for h in homs]}) + "\n"
+        code, out, err = run(capsys, "hom", write(tmp_path, "x.json", x), write(tmp_path, "y.json", y))
+        assert (code, out, err) == (0, expected, "")
+        counts.append(len(homs))
+    assert counts[-3:] == [1, 0, 2304]
 
 
 # -- fuzzing the file inputs ----------------------------------------------------
