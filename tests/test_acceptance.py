@@ -76,7 +76,7 @@ def test_criterion_8_omega_obstructions():
     start = time.perf_counter()
     failures = []
 
-    ns = omega.not_specker_demo(seed=0, prefix_bound=6)
+    ns = omega.not_specker_demo(seed=0)
     if ns["closed"] != "pass":
         failures.append("subgroup closure sample failed")
     if ns["singulars_finite_support"] != "pass":

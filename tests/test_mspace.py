@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT
+from bms.laws import all_spaces
 from bms.mspace import (
+    are_isomorphic,
     compose,
     enumerate_homs,
     identity,
@@ -133,6 +135,15 @@ def test_iso_iff_two_sided_inverse():
                 for g in enumerate_homs(y, x)
             )
             assert invertible == is_isomorphism(f)
+
+
+def test_are_isomorphic_iff_some_hom_is_an_isomorphism():
+    verdicts = set()
+    for a, b in itertools.product(all_spaces(2, 3), repeat=2):
+        verdict = are_isomorphic(a, b)
+        assert verdict == any(is_isomorphism(f) for f in enumerate_homs(a, b)), (a, b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_enumerate_homs_counts():

@@ -103,6 +103,19 @@ def test_per_chain_verdict_matches_exhaustive_oracle():
         assert verify_mv_axioms(algebra) == verify_mv_axioms_exhaustive(algebra), g.base.mults
 
 
+def test_exhaustive_oracle_checks_343_elements_in_small_memory():
+    algebra = alg(6, 6, 6)
+    tracemalloc.start()
+    try:
+        report = verify_mv_axioms_exhaustive(algebra)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report == {"cardinality": 343, "violations": [], "pass": True}
+    assert report == verify_mv_axioms(algebra)
+    assert peak < 16 << 20
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     st.lists(st.integers(1, 6), max_size=4).filter(

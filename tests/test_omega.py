@@ -1,13 +1,15 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bms.errors import SchemaError
+from bms.errors import OverflowLimitError, SchemaError
 from bms.intlinalg import certificate_holds
+from bms.ints import INT_LIMIT
 from bms.omega import (
     INFINITY,
     ECSeq,
@@ -64,6 +66,35 @@ def test_op_examples():
     assert ec_neg(ECSeq((1,), 0)) == ECSeq((-1,), 0)
     assert ec_scalar_mul(3, indicator([1])) == ECSeq((0, 3), 0)
     assert ec_join(indicator([0]), indicator([1])) == ECSeq((1, 1), 0)
+
+
+def test_ops_refuse_results_past_the_64_bit_bound():
+    big = ECSeq((INT_LIMIT,), 0)
+    with pytest.raises(OverflowLimitError):
+        ec_add(big, indicator([0]))                    # in the prefix
+    with pytest.raises(OverflowLimitError):
+        ec_add(const(INT_LIMIT), const(1))             # in the tail
+    with pytest.raises(OverflowLimitError):
+        ec_sub(ECSeq((-INT_LIMIT,), 0), indicator([0]))
+    with pytest.raises(OverflowLimitError):
+        ec_sub(const(-2), const(INT_LIMIT))
+    with pytest.raises(OverflowLimitError):
+        ec_scalar_mul(2, big)
+    with pytest.raises(OverflowLimitError):
+        ec_scalar_mul(2, const(INT_LIMIT // 2 + 1))
+    with pytest.raises(OverflowLimitError):
+        ec_scalar_mul(INT_LIMIT + 1, const(0))         # the scalar itself
+    assert ec_add(const(INT_LIMIT - 1), const(1)) == const(INT_LIMIT)
+
+
+def test_indicator_of_many_positions_is_linear():
+    start = time.perf_counter()
+    a = indicator(range(8000))
+    elapsed = time.perf_counter() - start
+    assert a == ECSeq((1,) * 8000, 0)
+    assert ec_value(a, 7999) == 1 and ec_value(a, 8000) == 0
+    assert indicator([8, 2, 2, 5]) == ECSeq((0, 0, 1, 0, 0, 1, 0, 0, 1), 0)
+    assert elapsed < 0.2
 
 
 @settings(max_examples=100, deadline=None)
