@@ -29,8 +29,8 @@ _LABELS = ("p1", "p2", "p3", "p4", "p5", "p6")
 # Most spaces ``run_laws`` sweeps: sum of max_mult**n for n <= max_points.
 LAWS_UNIVERSE_CAP = 100
 # Most cases of the isomorphism-inverse scan of ``check_category_laws``, which
-# drives the run time: (3, 4) has 48,983 and takes about 10 s on a 2-core Xeon,
-# (4, 2) has only 31 spaces but 1.23M cases and takes about 29 s.
+# drives the run time: (3, 4) has 48,983 cases, while (4, 2) has only 31 spaces
+# but 1.23M cases and takes about seven times as long.
 LAWS_SCAN_CAP = 100_000
 
 __all__ = [

@@ -112,8 +112,12 @@ def limit(diagram: Diagram) -> Cone:
             mults.append(checked_lcm(o.mults[i] for o, i in zip(objs, combo)))
             components.append(combo)
     apex = new_space(points, mults)
+    # Each multiplier is the lcm over the tuple divided by one component's
+    # multiplicity, so the projections are built without the row check.
     legs = tuple(
-        BmsMorphism(apex, o, tuple([(c[k], m // o.mults[c[k]]) for c, m in zip(components, mults)]))
+        BmsMorphism._trusted(
+            apex, o, tuple([(c[k], m // o.mults[c[k]]) for c, m in zip(components, mults)])
+        )
         for k, o in enumerate(objs)
     )
     return Cone(apex, legs)
@@ -146,8 +150,9 @@ def coproduct(x: MultiSpace, y: MultiSpace) -> Cocone:
         ["L:" + l for l in x.labels] + ["R:" + l for l in y.labels],
         list(x.mults) + list(y.mults),
     )
-    inj_x = BmsMorphism(x, apex, identity_rows(len(x)))
-    inj_y = BmsMorphism(y, apex, tuple([(len(x) + i, 1) for i in range(len(y))]))
+    # Each point keeps its multiplicity: every multiplier is 1.
+    inj_x = BmsMorphism._trusted(x, apex, identity_rows(len(x)))
+    inj_y = BmsMorphism._trusted(y, apex, tuple([(len(x) + i, 1) for i in range(len(y))]))
     return Cocone(apex, (inj_x, inj_y))
 
 

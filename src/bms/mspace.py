@@ -6,9 +6,17 @@ the codomain multiplicity divides the domain multiplicity pointwise; the
 quotient is the morphism's own multiplicity ``zeta``.
 
 A morphism stores a row (j, z) per domain point i, its image j and multiplier
-z with z * m(j) = m(i), checked once when the ``BmsMorphism`` is built; an
-``sgroup.LHom`` is a view of its dual point map, so that is its one check too.
-``compose_rows`` composes rows; label maps enter through ``new_morphism``.
+z with z * m(j) = m(i).  Calling ``BmsMorphism`` checks every row, and so do
+``new_morphism`` (label maps), ``sgroup.validate_lhom`` (dense matrices) and
+``duality.spectrum_map`` and ``duality.unit_iso``, whose rows are valid only
+if the spectrum's residues are right.  Rows that are valid by construction
+build the morphism through the private ``BmsMorphism._trusted`` without
+checking again: ``enumerate_homs`` (its candidates are the dividing targets,
+with multiplier m // n), ``compose`` (z * z' * m(l) = z * m(j) = m(i)),
+``identity``, the legs of ``limits.limit`` (multiplier lcm // m) and the
+injections of ``limits.coproduct``.  An ``sgroup.LHom`` is a view of its
+dual point map, so it is checked or trusted as that map is.
+``compose_rows`` composes rows.
 """
 
 from __future__ import annotations
@@ -51,12 +59,15 @@ class MultiSpace:
     """An ordered tuple of distinct point labels with their multiplicities.
 
     Point order is part of the value: it fixes every enumeration order
-    downstream.  The empty space is legal.
+    downstream.  The empty space is legal.  The hash is computed once, when
+    the space is built, since spaces key the caches of ``duality`` and
+    ``limits``; a pickled or copied space is rebuilt, and so rehashed.
     """
 
     labels: tuple[str, ...]
     mults: tuple[int, ...]
     _index: dict[str, int] = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.mults):
@@ -76,6 +87,13 @@ class MultiSpace:
                 if m < 1:
                     raise SchemaError(f"multiplicity of {lab!r} must be >= 1, got {m}")
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_hash", hash((self.labels, self.mults)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return MultiSpace, (self.labels, self.mults)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -103,13 +121,14 @@ def new_space(labels: Sequence[str], mults: Sequence[int]) -> MultiSpace:
     return MultiSpace(tuple(labels), tuple(mults))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BmsMorphism:
     """A point map whose codomain multiplicity divides the domain's.
 
     ``rows[i] = (j, z)``: domain point i goes to codomain point j, and its
-    multiplier z satisfies z * m_cod(j) = m_dom(i).  ``targets``, ``zetas``
-    and ``mapping`` read the rows back as labels.
+    multiplier z satisfies z * m_cod(j) = m_dom(i).  Calling the class
+    checks every row.  ``targets``, ``zetas`` and ``mapping`` read the rows
+    back as labels.
     """
 
     dom: MultiSpace
@@ -129,6 +148,19 @@ class BmsMorphism:
                     f"row {i}: {z} * multiplicity {cod_mults[j]} of {self.cod.labels[j]!r} "
                     f"!= multiplicity {mults[i]} of {self.dom.labels[i]!r}"
                 )
+
+    @staticmethod
+    def _trusted(dom: MultiSpace, cod: MultiSpace, rows: Rows) -> BmsMorphism:
+        """A morphism built without the row check.
+
+        Only for a tuple of (int index, int multiplier) pairs, one per
+        domain point, that satisfies z * m_cod(j) = m_dom(i) by construction.
+        """
+        m = _new(BmsMorphism)
+        _set_dom(m, dom)
+        _set_cod(m, cod)
+        _set_rows(m, rows)
+        return m
 
     @property
     def targets(self) -> tuple[str, ...]:
@@ -151,6 +183,13 @@ class BmsMorphism:
     def __repr__(self) -> str:
         arrows = ", ".join(f"{l}->{t}" for l, t in zip(self.dom.labels, self.targets))
         return f"BmsMorphism({arrows or 'empty'})"
+
+
+_new = object.__new__
+_set_dom = BmsMorphism.dom.__set__
+_set_cod = BmsMorphism.cod.__set__
+_set_rows = BmsMorphism.rows.__set__
+_trusted = BmsMorphism._trusted
 
 
 def compose_rows(first: Rows, second: Rows) -> Rows:
@@ -181,7 +220,7 @@ def new_morphism(dom: MultiSpace, cod: MultiSpace, gamma: Mapping[str, str]) -> 
 
 
 def identity(space: MultiSpace) -> BmsMorphism:
-    return BmsMorphism(space, space, identity_rows(len(space)))
+    return _trusted(space, space, identity_rows(len(space)))
 
 
 def compose(first: BmsMorphism, second: BmsMorphism) -> BmsMorphism:
@@ -189,9 +228,9 @@ def compose(first: BmsMorphism, second: BmsMorphism) -> BmsMorphism:
 
     The composite's zeta is the pointwise product of the component zetas.
     """
-    if first.cod != second.dom:
+    if first.cod is not second.dom and first.cod != second.dom:
         raise SchemaError("cannot compose: codomain of first != domain of second")
-    return BmsMorphism(first.dom, second.cod, compose_rows(first.rows, second.rows))
+    return _trusted(first.dom, second.cod, compose_rows(first.rows, second.rows))
 
 
 def is_isomorphism(m: BmsMorphism) -> bool:
@@ -213,7 +252,7 @@ def enumerate_homs(dom: MultiSpace, cod: MultiSpace) -> list[BmsMorphism]:
     count = math.prod(map(len, candidates))
     if count > HOM_LIMIT:
         raise SizeLimitError(f"{count} morphisms exceed the limit of {HOM_LIMIT}")
-    return [BmsMorphism(dom, cod, rows) for rows in itertools.product(*candidates)]
+    return [_trusted(dom, cod, rows) for rows in itertools.product(*candidates)]
 
 
 def are_isomorphic(a: MultiSpace, b: MultiSpace) -> bool:

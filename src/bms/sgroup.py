@@ -5,9 +5,14 @@ multiplicity function as its distinguished unit.  Elements support pointwise
 group and lattice operations; maximal ideals correspond to points and
 closed-set ideals to subsets of points.  A unital l-homomorphism is a view
 of its dual point map: ``LHom`` holds one ``mspace.BmsMorphism`` from the
-codomain's base to the domain's, whose constructor is the one row check,
-and composition, identities and the dual maps of ``duality`` are those of
-point maps.  ``validate_lhom`` is the one decoder of the dense matrix form.
+codomain's base to the domain's, and composition, identities and the dual
+maps of ``duality`` are those of point maps; its groups are built from that
+map when asked for.  ``validate_lhom`` is the one decoder of the dense
+matrix form and checks its rows through the ``BmsMorphism`` constructor.
+``identity_lhom`` and ``compose_lhom`` take their rows from the private
+``BmsMorphism._trusted`` of ``identity`` and ``compose``, which do not check
+again: identity rows (i, 1) and composites of checked rows satisfy the
+divisibility rule by construction.
 
 Element values are validated once, where they enter: calling
 ``GroupElement`` (and so ``SpeckerGroup.element`` and ``element_from_dict``)
@@ -413,12 +418,14 @@ class LHom:
     """
 
     point_map: BmsMorphism
-    dom: SpeckerGroup = field(init=False, compare=False, repr=False)
-    cod: SpeckerGroup = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "dom", SpeckerGroup(self.point_map.cod))
-        object.__setattr__(self, "cod", SpeckerGroup(self.point_map.dom))
+    @property
+    def dom(self) -> SpeckerGroup:
+        return SpeckerGroup(self.point_map.cod)
+
+    @property
+    def cod(self) -> SpeckerGroup:
+        return SpeckerGroup(self.point_map.dom)
 
     @property
     def rows(self) -> tuple[tuple[int, int], ...]:

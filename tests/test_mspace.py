@@ -1,13 +1,20 @@
 import itertools
+import os
+import pickle
+import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bms import duality, limits, sgroup
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT
 from bms.laws import all_spaces
 from bms.mspace import (
+    BmsMorphism,
     are_isomorphic,
     compose,
     enumerate_homs,
@@ -215,3 +222,97 @@ def test_zeta_multiplicativity_property(pair):
     f, g = pair
     fg = compose(f, g)
     assert fg.zetas == tuple(zf * g.zeta(t) for zf, t in zip(f.zetas, f.targets))
+
+
+def _checked_copy_is_equal(m):
+    """The checked constructor accepts the rows of m, and the copy equals m."""
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows), m
+    again = BmsMorphism(m.dom, m.cod, m.rows)
+    assert again == m and hash(again) == hash(m), m
+
+
+def test_trusted_morphisms_pass_the_row_check():
+    spaces = all_spaces(2, 3)
+    homs = {(x, y): enumerate_homs(x, y) for x, y in itertools.product(spaces, repeat=2)}
+    built = 0
+    for (x, y), fs in homs.items():
+        for f in fs:
+            _checked_copy_is_equal(f)
+        for z in spaces:
+            for f, g in itertools.product(fs, homs[y, z]):
+                _checked_copy_is_equal(compose(f, g))
+                built += 1
+        cocone = limits.coproduct(x, y)
+        for inj in cocone.injections:
+            _checked_copy_is_equal(inj)
+        for leg in limits.product(x, y).legs:
+            _checked_copy_is_equal(leg)
+    for x in spaces:
+        _checked_copy_is_equal(identity(x))
+    rng = random.Random(0)
+    parallel = [(f, g) for fs in homs.values() for f in fs for g in fs]
+    cospans = [
+        (f, g)
+        for (x, z), fs in homs.items()
+        for y in spaces
+        for f in fs
+        for g in homs[y, z]
+    ]
+    for f, g in rng.sample(parallel, 300):
+        for leg in limits.equalizer(f, g).legs:
+            _checked_copy_is_equal(leg)
+    for f, g in rng.sample(cospans, 300):
+        for leg in limits.pullback(f, g).legs:
+            _checked_copy_is_equal(leg)
+    assert built == 2017  # composites checked; a vacuous sweep would show 0
+
+
+def test_checked_paths_still_refuse_bad_rows():
+    x = new_space(["x"], [2])
+    y = new_space(["y1", "y2"], [3, 1])
+    with pytest.raises(DivisibilityError):
+        BmsMorphism(x, y, ((0, 1),))
+    with pytest.raises(DivisibilityError):
+        new_morphism(x, y, {"x": "y1"})
+    bad = sgroup.LHom(BmsMorphism._trusted(x, y, ((0, 1),)))
+    with pytest.raises(DivisibilityError):
+        duality.spectrum_map(bad)
+    with pytest.raises(DivisibilityError):
+        sgroup.validate_lhom([[1, 0]], sgroup.SpeckerGroup(y), sgroup.SpeckerGroup(x))
+
+
+def test_space_hash_is_cached_and_agrees_with_equality():
+    spaces = all_spaces(2, 3)
+    for x in spaces:
+        again = new_space(list(x.labels), list(x.mults))
+        assert again is not x and again == x and hash(again) == hash(x)
+        for i in range(len(x)):
+            bumped = list(x.mults)
+            bumped[i] += 1
+            assert new_space(x.labels, bumped) != x
+        if len(x) > 1:
+            assert new_space(x.labels[::-1], x.mults[::-1]) != x
+    assert len(set(spaces)) == len(spaces)
+    group = sgroup.SpeckerGroup(new_space(["a", "b"], [2, 3]))
+    duality.spectrum_space(group)
+    hits = duality.spectrum_space.cache_info().hits
+    duality.spectrum_space(sgroup.SpeckerGroup(new_space(["a", "b"], [2, 3])))
+    assert duality.spectrum_space.cache_info().hits == hits + 1
+
+
+def test_space_pickled_under_another_hash_seed_is_rehashed():
+    env = dict(os.environ, PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    script = (
+        "import pickle, sys\n"
+        "from bms.laws import all_spaces\n"
+        "sys.stdout.buffer.write(pickle.dumps(all_spaces(2, 3)))\n"
+    )
+    data = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, check=True, timeout=60
+    ).stdout
+    unpickled = pickle.loads(data)
+    spaces = all_spaces(2, 3)
+    assert unpickled == spaces
+    assert [hash(x) for x in unpickled] == [hash(x) for x in spaces]
+    assert set(unpickled) == set(spaces)
