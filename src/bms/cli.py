@@ -10,16 +10,19 @@ empty stdout.  Randomized commands take --seed and default to seed 0.
 
 ``main`` may be called many times in one process.  The argument parser is
 built on the first call and shared by the later ones; it keeps no state
-between calls.  ``hom`` encodes its two spaces once and each morphism adds
-only its map, but its output is byte for byte the ``json.dumps`` of the
-``{"count", "homs"}`` object of ``morphism_to_dict`` forms, as before.
+between calls.  ``hom`` streams its output from ``mspace.hom_factors`` and
+builds no morphism, so its memory does not grow with the morphism count;
+its output is byte for byte the ``json.dumps`` of the ``{"count", "homs"}``
+object of the ``morphism_to_dict`` forms of ``enumerate_homs``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import math
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -28,7 +31,7 @@ from .errors import MathDomainError, SchemaError
 from .mspace import (
     BmsMorphism,
     MultiSpace,
-    enumerate_homs,
+    limited_hom_factors,
     morphism_from_dict,
     morphism_to_dict,
     space_from_dict,
@@ -159,16 +162,24 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _homs_json(x: MultiSpace, y: MultiSpace, homs: Sequence[BmsMorphism]) -> Iterator[str]:
-    """``json.dumps({"count": len(homs), "homs": [morphism_to_dict(h) ...]})``
-    in pieces.  The spaces and the labels are encoded once; each morphism
-    adds only its map, joined with the default separators of ``json.dumps``."""
+def _homs_json(x: MultiSpace, y: MultiSpace) -> Iterator[str]:
+    """``json.dumps({"count": n, "homs": [morphism_to_dict(h) ...]})`` of
+    ``enumerate_homs(x, y)``, in pieces.  The spaces are encoded once, and so
+    is each ``"x": "y"`` candidate piece of ``hom_factors``; a morphism is one
+    piece per domain point, joined with the default separators of
+    ``json.dumps``.  Above ``HOM_LIMIT`` morphisms it raises SizeLimitError
+    before yielding anything."""
+    factors = limited_hom_factors(x, y)
     head = f'{{"dom": {json.dumps(space_to_dict(x))}, "cod": {json.dumps(space_to_dict(y))}, "map": {{'
-    keys = [json.dumps(label) + ": " for label in x.labels]
     values = [json.dumps(label) for label in y.labels]
-    yield f'{{"count": {len(homs)}, "homs": ['
-    for n, h in enumerate(homs):
-        yield (", " if n else "") + head + ", ".join([k + values[j] for k, (j, _) in zip(keys, h.rows)]) + "}}"
+    pieces = [
+        [f"{json.dumps(label)}: {values[j]}" for j, _ in rows] for label, rows in zip(x.labels, factors)
+    ]
+    yield f'{{"count": {math.prod(map(len, factors))}, "homs": ['
+    sep = ""
+    for choice in itertools.product(*pieces):
+        yield sep + head + ", ".join(choice) + "}}"
+        sep = ", "
     yield "]}"
 
 
@@ -196,7 +207,7 @@ def _run(args: argparse.Namespace) -> int:
     elif args.verb == "hom":
         x = space_from_dict(_load(args.x))
         y = space_from_dict(_load(args.y))
-        sys.stdout.writelines(_homs_json(x, y, enumerate_homs(x, y)))
+        sys.stdout.writelines(_homs_json(x, y))
         print()
     elif args.verb == "dual":
         data = _load(args.file)

@@ -1,7 +1,10 @@
 """Finite limits and coproducts of multispaces, with universal-property checks.
 
 Limit apexes are compatible tuples of points; the apex multiplicity is the
-least common multiple of the component multiplicities.  ``verify_universal``
+least common multiple of the component multiplicities.  ``limit`` extends
+partial tuples object by object, so that an arrow cuts the scan instead of
+filtering the whole product; a diagram without arrows is the plain product.
+``verify_universal``
 checks their universal property at one-point spaces, which decides it at
 every test apex; its ``cones`` counts the cones from the test apexes.
 Coproducts are disjoint unions.  Products and coproducts of Specker groups
@@ -27,6 +30,7 @@ from .mspace import (
     MultiSpace,
     compose_rows,
     enumerate_homs,
+    hom_factors,
     identity_rows,
     morphism_to_dict,
     new_morphism,
@@ -92,6 +96,33 @@ def _tuple_label(labels: Sequence[str]) -> str:
     return "(" + ",".join(labels) + ")"
 
 
+def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
+    """The point-index tuples c with rows[c[s]][0] == c[t] for every arrow
+    (s, t, rows) of the diagram, in lexicographic order.
+
+    The tuples grow object by object, and an arrow is tested as soon as its
+    later end k is chosen.  An arrow s -> k from an earlier object fixes k's
+    point, so the first such arrow chooses it; then each arrow ending at k
+    (into k, out of k into an earlier object, or a self-loop) filters the
+    extended tuples.  A diagram without arrows is the whole product.
+    """
+    objs = diagram.objects
+    if not diagram.arrows:
+        return list(itertools.product(*(range(len(o)) for o in objs)))
+    tuples: list[tuple[int, ...]] = [()]
+    for k, obj in enumerate(objs):
+        due = [(s, t, m.rows) for s, t, m in diagram.arrows if max(s, t) == k]
+        fixing = [(s, rows) for s, t, rows in due if s < t]
+        if fixing:
+            s0, rows0 = fixing[0]
+            tuples = [c + (rows0[c[s0]][0],) for c in tuples]
+        else:
+            tuples = [c + (i,) for c in tuples for i in range(len(obj))]
+        for s, t, rows in due:
+            tuples = [c for c in tuples if rows[c[s]][0] == c[t]]
+    return tuples
+
+
 def limit(diagram: Diagram) -> Cone:
     """The limit cone: compatible point tuples with LCM multiplicities.
 
@@ -103,14 +134,9 @@ def limit(diagram: Diagram) -> Cone:
     count = math.prod(len(o) for o in objs)
     if count > HOM_LIMIT:
         raise SizeLimitError(f"{count} point tuples exceed the limit of {HOM_LIMIT}")
-    points = []
-    mults = []
-    components = []
-    for combo in itertools.product(*(range(len(o)) for o in objs)):
-        if all(m.rows[combo[s]][0] == combo[t] for s, t, m in diagram.arrows):
-            points.append(_tuple_label([o.labels[i] for o, i in zip(objs, combo)]))
-            mults.append(checked_lcm(o.mults[i] for o, i in zip(objs, combo)))
-            components.append(combo)
+    components = _compatible_tuples(diagram)
+    points = [_tuple_label([o.labels[i] for o, i in zip(objs, c)]) for c in components]
+    mults = [checked_lcm(o.mults[i] for o, i in zip(objs, c)) for c in components]
     apex = new_space(points, mults)
     # Each multiplier is the lcm over the tuple divided by one component's
     # multiplicity, so the projections are built without the row check.
@@ -205,9 +231,8 @@ def verify_universal(
     for m in sorted({tm for t in test_apexes for tm in t.mults}):
         point = new_space(["t"], [m])
         mediators = Counter(
-            tuple([compose_rows(((a, m // am),), leg.rows) for leg in candidate.legs])
-            for a, am in enumerate(candidate.apex.mults)
-            if m % am == 0
+            tuple([compose_rows((row,), leg.rows) for leg in candidate.legs])
+            for row in hom_factors((m,), candidate.apex.mults)[0]
         )
         cones = _cones_from(point, diagram)
         messages = []

@@ -6,13 +6,17 @@ the codomain multiplicity divides the domain multiplicity pointwise; the
 quotient is the morphism's own multiplicity ``zeta``.
 
 A morphism stores a row (j, z) per domain point i, its image j and multiplier
-z with z * m(j) = m(i).  Calling ``BmsMorphism`` checks every row, and so do
+z with z * m(j) = m(i).  A morphism chooses its rows independently at each
+point, so Hom(X, Y) = prod over x of Hom({x}, Y): ``hom_factors`` lists each
+point's candidate rows, the dividing targets with multiplier m // n, and
+every hom-set is counted, enumerated or streamed from these factors.
+Calling ``BmsMorphism`` checks every row, and so do
 ``new_morphism`` (label maps), ``sgroup.validate_lhom`` (dense matrices) and
 ``duality.spectrum_map`` and ``duality.unit_iso``, whose rows are valid only
 if the spectrum's residues are right.  Rows that are valid by construction
 build the morphism through the private ``BmsMorphism._trusted`` without
-checking again: ``enumerate_homs`` (its candidates are the dividing targets,
-with multiplier m // n), ``compose`` (z * z' * m(l) = z * m(j) = m(i)),
+checking again: ``enumerate_homs`` (one candidate row of each
+``hom_factors`` factor), ``compose`` (z * z' * m(l) = z * m(j) = m(i)),
 ``identity``, the legs of ``limits.limit`` (multiplier lcm // m) and the
 injections of ``limits.coproduct``.  An ``sgroup.LHom`` is a view of its
 dual point map, so it is checked or trusted as that map is.
@@ -39,6 +43,8 @@ __all__ = [
     "identity",
     "compose",
     "is_isomorphism",
+    "hom_factors",
+    "limited_hom_factors",
     "enumerate_homs",
     "HOM_LIMIT",
     "are_isomorphic",
@@ -240,6 +246,28 @@ def is_isomorphism(m: BmsMorphism) -> bool:
     return all(z == 1 for _, z in m.rows)
 
 
+def hom_factors(dom_mults: Sequence[int], cod_mults: Sequence[int]) -> list[list[tuple[int, int]]]:
+    """Hom(X, Y) = prod over x of Hom({x}, Y), one factor per domain point.
+
+    For each domain multiplicity m, its candidate rows (j, m // n) over the
+    codomain points j whose multiplicity n divides m, in codomain order.
+    A morphism is one row from each factor, so |Hom(X, Y)| is
+    ``math.prod(map(len, factors))``: a plain int, which stays exact and
+    comparable with ``HOM_LIMIT`` when it passes ``sys.maxsize``.
+    """
+    return [[(j, m // n) for j, n in enumerate(cod_mults) if m % n == 0] for m in dom_mults]
+
+
+def limited_hom_factors(dom: MultiSpace, cod: MultiSpace) -> list[list[tuple[int, int]]]:
+    """``hom_factors`` of two spaces; above ``HOM_LIMIT`` morphisms it raises
+    SizeLimitError, before any morphism is built."""
+    factors = hom_factors(dom.mults, cod.mults)
+    count = math.prod(map(len, factors))
+    if count > HOM_LIMIT:
+        raise SizeLimitError(f"{count} morphisms exceed the limit of {HOM_LIMIT}")
+    return factors
+
+
 def enumerate_homs(dom: MultiSpace, cod: MultiSpace) -> list[BmsMorphism]:
     """All morphisms dom -> cod, in lexicographic order of the point map.
 
@@ -248,11 +276,7 @@ def enumerate_homs(dom: MultiSpace, cod: MultiSpace) -> list[BmsMorphism]:
     order.  Deterministic; the empty domain yields exactly one morphism.
     Above ``HOM_LIMIT`` morphisms it raises SizeLimitError before building.
     """
-    candidates = [[(j, m // n) for j, n in enumerate(cod.mults) if m % n == 0] for m in dom.mults]
-    count = math.prod(map(len, candidates))
-    if count > HOM_LIMIT:
-        raise SizeLimitError(f"{count} morphisms exceed the limit of {HOM_LIMIT}")
-    return [_trusted(dom, cod, rows) for rows in itertools.product(*candidates)]
+    return [_trusted(dom, cod, rows) for rows in itertools.product(*limited_hom_factors(dom, cod))]
 
 
 def are_isomorphic(a: MultiSpace, b: MultiSpace) -> bool:

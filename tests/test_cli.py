@@ -1,6 +1,8 @@
 import itertools
 import json
+import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -422,6 +424,44 @@ def test_hom_output_is_byte_identical_to_dumps(tmp_path, capsys):
         assert (code, out, err) == (0, expected, "")
         counts.append(len(homs))
     assert counts[-3:] == [1, 0, 2304]
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+    def flush(self):
+        pass
+
+
+def test_hom_streams_100000_morphisms_in_small_memory(tmp_path, monkeypatch):
+    # every multiplicity of y divides 12: 10**5 morphisms, each as long as any other
+    x = _space([f"x{i}" for i in range(5)], [12] * 5)
+    y = _space([f"y{i}" for i in range(10)], [1, 2, 3, 4, 6, 12, 1, 2, 3, 4])
+    paths = write(tmp_path, "x.json", x), write(tmp_path, "y.json", y)
+    one = json.dumps({"dom": x, "cod": y, "map": {f"x{i}": "y0" for i in range(5)}})
+    expected = len('{"count": 100000, "homs": [') + 100_000 * len(one) + 99_999 * len(", ") + len("]}\n")
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["hom", *paths])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert code == 0 and sink.chars == expected
+    assert peak < 2_000_000, f"tracemalloc peak {peak} bytes"
 
 
 # -- fuzzing the file inputs ----------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -107,6 +108,103 @@ def test_limit_agrees_with_specializations():
     f = new_morphism(x, pt, {"a": "t", "b": "t"})
     g = new_morphism(y, pt, {"c": "t"})
     assert limit(Diagram((x, y, pt), ((0, 2, f), (1, 2, g)))) == pullback(f, g)
+
+
+def _naive_limit(diagram):
+    """Oracle: scan every tuple of the product of point indices and keep the
+    ones on which every arrow commutes; the legs go through the row check."""
+    objs = diagram.objects
+    components = [
+        c
+        for c in itertools.product(*(range(len(o)) for o in objs))
+        if all(m.rows[c[s]][0] == c[t] for s, t, m in diagram.arrows)
+    ]
+    apex = new_space(
+        ["(" + ",".join(o.labels[i] for o, i in zip(objs, c)) + ")" for c in components],
+        [checked_lcm(o.mults[i] for o, i in zip(objs, c)) for c in components],
+    )
+    legs = tuple(
+        BmsMorphism(apex, o, tuple((c[k], m // o.mults[c[k]]) for c, m in zip(components, apex.mults)))
+        for k, o in enumerate(objs)
+    )
+    return Cone(apex, legs)
+
+
+def _assert_limit_is_naive(diagram):
+    fast, slow = limit(diagram), _naive_limit(diagram)
+    assert fast.apex == slow.apex and fast.apex.labels == slow.apex.labels
+    assert [l.rows for l in fast.legs] == [l.rows for l in slow.legs]
+    assert fast == slow
+    return fast
+
+
+def _random_morphism(rng, dom, cod):
+    """A random morphism dom -> cod, or None when there is none."""
+    rows = []
+    for m in dom.mults:
+        targets = [j for j, n in enumerate(cod.mults) if m % n == 0]
+        if not targets:
+            return None
+        j = rng.choice(targets)
+        rows.append((j, m // cod.mults[j]))
+    return BmsMorphism(dom, cod, tuple(rows))
+
+
+def _random_diagram(rng):
+    """2-4 objects of 0-3 points (mostly 3), multiplicities in 1-4, and up to five arrows
+    between random (possibly equal) objects."""
+    objs = tuple(
+        new_space([f"{k}{i}" for i in range(n)], [rng.choice((1, 1, 2, 4)) for _ in range(n)])
+        for k, n in zip("abcd", (rng.choice((0, 1, 2, 3, 3, 3)) for _ in range(rng.randint(2, 4))))
+    )
+    arrows = []
+    for _ in range(rng.randint(0, 5)):
+        s, t = rng.randrange(len(objs)), rng.randrange(len(objs))
+        m = _random_morphism(rng, objs[s], objs[t])
+        if m is not None:
+            arrows.append((s, t, m))
+    return Diagram(objs, tuple(arrows))
+
+
+def test_limit_matches_full_product_scan_on_random_diagrams():
+    rng = random.Random(20_251)
+    seen = dict.fromkeys(
+        ["forward", "backward", "self-loop", "parallel", "two into one", "empty object", "empty apex",
+         "nonempty apex"],
+        0,
+    )
+    for _ in range(1000):
+        diagram = _random_diagram(rng)
+        cone = _assert_limit_is_naive(diagram)
+        ends = [(s, t) for s, t, _ in diagram.arrows]
+        seen["forward"] += any(s < t for s, t in ends)
+        seen["backward"] += any(s > t for s, t in ends)
+        seen["self-loop"] += any(s == t for s, t in ends)
+        seen["parallel"] += len(set(ends)) < len(ends)
+        seen["two into one"] += any(
+            len({s for s, t2 in ends if t2 == t and s != t}) > 1 for _, t in ends
+        )
+        seen["empty object"] += any(len(o) == 0 for o in diagram.objects)
+        seen["empty apex"] += len(cone.apex) == 0
+        seen["nonempty apex"] += len(cone.apex) > 1 and len(diagram.arrows) > 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_named_limits_match_full_product_scan():
+    spaces = all_spaces(2, 3)
+    for x, y in itertools.product(spaces, repeat=2):
+        assert product(x, y) == _assert_limit_is_naive(Diagram((x, y)))
+    assert terminal() == _assert_limit_is_naive(Diagram(()))
+    for x, y in itertools.product(all_spaces(2, 2), repeat=2):
+        for f, g in itertools.product(enumerate_homs(x, y), repeat=2):
+            assert equalizer(f, g) == _assert_limit_is_naive(Diagram((x, y), ((0, 1, f), (0, 1, g))))
+    rng = random.Random(7)
+    for y in spaces:
+        into_y = [(w, h) for w in spaces for h in [enumerate_homs(w, y)] if h]
+        for _ in range(10 if into_y else 0):
+            (w, ws), (v, vs) = rng.choice(into_y), rng.choice(into_y)
+            f, g = rng.choice(ws), rng.choice(vs)
+            assert pullback(f, g) == _assert_limit_is_naive(Diagram((w, v, y), ((0, 2, f), (1, 2, g))))
 
 
 def test_coproduct_examples():

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import pickle
 import random
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bms import duality, limits, sgroup
-from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
+from bms import cli, duality, limits, sgroup
+from bms.errors import DivisibilityError, OverflowLimitError, SchemaError, SizeLimitError
 from bms.ints import INT_LIMIT
 from bms.laws import all_spaces
 from bms.mspace import (
@@ -174,6 +175,44 @@ def test_enumerate_homs_order_and_validity():
     assert len(set(homs)) == len(homs)
     for h in homs:
         assert new_morphism(x, y, h.mapping) == h
+
+
+def _naive_homs(dom, cod):
+    """Oracle: every point map dom -> cod in lexicographic order, kept when
+    each target multiplicity divides its source's, as checked rows."""
+    return [
+        BmsMorphism(dom, cod, tuple((j, m // cod.mults[j]) for m, j in zip(dom.mults, targets)))
+        for targets in itertools.product(range(len(cod)), repeat=len(dom))
+        if all(m % cod.mults[j] == 0 for m, j in zip(dom.mults, targets))
+    ]
+
+
+def test_enumerate_homs_matches_point_map_oracle():
+    spaces = all_spaces(3, 4)
+    total = 0
+    for x, y in itertools.product(spaces, repeat=2):
+        homs, naive = enumerate_homs(x, y), _naive_homs(x, y)
+        assert [h.rows for h in homs] == [h.rows for h in naive], (x, y)
+        assert homs == naive
+        total += len(homs)
+    assert total == 24_477
+
+
+def test_hom_count_past_maxsize_is_refused(tmp_path, capsys):
+    # 64 points of multiplicity 2, each with two targets: 2**64 morphisms,
+    # more than sys.maxsize, so the count is not a len()
+    x = new_space([f"x{i}" for i in range(64)], [2] * 64)
+    y = new_space(["y1", "y2"], [1, 2])
+    assert 2**64 > sys.maxsize
+    with pytest.raises(SizeLimitError, match=f"^{2**64} morphisms exceed"):
+        enumerate_homs(x, y)
+    paths = []
+    for name, space in (("x", x), ("y", y)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(space_to_dict(space)), encoding="utf-8")
+    assert cli.main(["hom", *map(str, paths)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["kind"] == "math-domain"
 
 
 def test_space_json_round_trip():
