@@ -332,7 +332,11 @@ def check_gamma_laws(groups: Sequence[SpeckerGroup]) -> list[str]:
 def check_singular_theory(groups: Sequence[SpeckerGroup]) -> list[str]:
     """Singular counts, both singularity tests, the support isomorphism, and
     unit residues of the greatest singular element, over the elements with
-    values in [-1, max(2, unit)]."""
+    values in [-1, max(2, unit)].
+
+    Each singular's support is computed once per group; the pair loop then
+    computes only the supports of the meet and the join.
+    """
     failures = []
     for g in groups:
         n = len(g.base)
@@ -347,13 +351,13 @@ def check_singular_theory(groups: Sequence[SpeckerGroup]) -> list[str]:
                 singulars.append(f)
         if len(singulars) != 2**n:
             failures.append(f"singular count is {len(singulars)}, expected {2**n}")
-        supports = {sgroup.support(s) for s in singulars}
-        if len(supports) != 2**n:
+        supports = [sgroup.support(s) for s in singulars]
+        if len(set(supports)) != 2**n:
             failures.append(f"support is not injective on unit {g.base.mults}")
-        for s, t in itertools.product(singulars, repeat=2):
-            if sgroup.support(sgroup.meet(s, t)) != sgroup.support(s) & sgroup.support(t):
+        for (s, s_on), (t, t_on) in itertools.product(zip(singulars, supports), repeat=2):
+            if sgroup.support(sgroup.meet(s, t)) != s_on & t_on:
                 failures.append(f"support misses meets at {s.values},{t.values}")
-            if sgroup.support(sgroup.join(s, t)) != sgroup.support(s) | sgroup.support(t):
+            if sgroup.support(sgroup.join(s, t)) != s_on | t_on:
                 failures.append(f"support misses joins at {s.values},{t.values}")
         top = sgroup.greatest_singular(g)
         for m in sgroup.maxspec(g):
@@ -364,7 +368,12 @@ def check_singular_theory(groups: Sequence[SpeckerGroup]) -> list[str]:
 
 def check_ideal_correspondence(groups: Sequence[SpeckerGroup]) -> list[str]:
     """Zero-set round trips and both maximality tests on every subset of
-    points, and inclusion reversal on the elements with values in [-2, 2]."""
+    points, and inclusion reversal on the elements with values in [-2, 2].
+
+    Each subset's ideal is built once per group, with its members among
+    those elements; inclusion reversal then compares the member sets of
+    every pair z1 <= z2, with one failure per pair that breaks it.
+    """
     failures = []
     for g in groups:
         labels = g.base.labels
@@ -373,36 +382,50 @@ def check_ideal_correspondence(groups: Sequence[SpeckerGroup]) -> list[str]:
             for r in range(len(labels) + 1)
             for c in itertools.combinations(labels, r)
         ]
+        elements = list(box_elements(g, -2, 2))
+        members = {}
         for z in subsets:
             ideal = sgroup.ideal_from_zeroset(g, z)
+            members[z] = {i for i, f in enumerate(elements) if ideal.contains(f)}
             gen = sgroup.canonical_generator(ideal)
             back = sgroup.zeroset_from_ideal(g, [gen])
             if back.zeroset != z:
                 failures.append(f"zeroset round trip fails at {set(z)}")
             if sgroup.is_maximal(ideal) != sgroup.is_maximal_by_criterion(ideal):
                 failures.append(f"maximality tests disagree at {set(z)}")
-        elements = list(box_elements(g, -2, 2))
         for z1, z2 in itertools.product(subsets, repeat=2):
-            if z1 <= z2:
-                i1 = sgroup.ideal_from_zeroset(g, z1)
-                i2 = sgroup.ideal_from_zeroset(g, z2)
-                for f in elements:
-                    if i2.contains(f) and not i1.contains(f):
-                        failures.append(f"inclusion reversal fails at {set(z1)},{set(z2)}")
-                        break
+            if z1 <= z2 and not members[z2] <= members[z1]:
+                failures.append(f"inclusion reversal fails at {set(z1)},{set(z2)}")
     return failures
 
 
 def check_hyperarch(groups: Sequence[SpeckerGroup], value_bound: int = 3) -> list[str]:
+    """The hyperarchimedean law: for every pair f, h of elements with values
+    in [0, value_bound], the witness n = ``hyperarch_witness(f, h)`` is at
+    most max(h) and satisfies n*f /\\ h = (n+1)*f /\\ h.
+
+    A correct witness has n <= max(h) <= value_bound, so only the multiples
+    k*f with k <= value_bound + 1 can occur; they are built once per f.  A
+    witness that is not an int in [0, value_bound] (a faulty one) is checked
+    with n*f and (n+1)*f built directly, as the library computes them, so it
+    never indexes the stored multiples.
+    """
     failures = []
     for g in groups:
-        for f, h in itertools.product(box_elements(g, 0, value_bound), repeat=2):
-            n = sgroup.hyperarch_witness(f, h)
-            gmax = max(h.values, default=0)
-            if n > gmax:
-                failures.append(f"witness {n} exceeds max {gmax} at {f.values},{h.values}")
-            if sgroup.meet(n * f, h) != sgroup.meet((n + 1) * f, h):
-                failures.append(f"witness equality fails at {f.values},{h.values}")
+        box = list(box_elements(g, 0, value_bound))
+        tops = [max(h.values, default=0) for h in box]
+        for f in box:
+            multiples = [k * f for k in range(value_bound + 2)]
+            for h, gmax in zip(box, tops):
+                n = sgroup.hyperarch_witness(f, h)
+                if n > gmax:
+                    failures.append(f"witness {n} exceeds max {gmax} at {f.values},{h.values}")
+                if type(n) is int and 0 <= n <= value_bound:
+                    low, high = multiples[n], multiples[n + 1]
+                else:
+                    low, high = n * f, (n + 1) * f
+                if sgroup.meet(low, h) != sgroup.meet(high, h):
+                    failures.append(f"witness equality fails at {f.values},{h.values}")
     return failures
 
 

@@ -364,9 +364,8 @@ def is_maximal_by_criterion(ideal: ClosedSetIdeal) -> bool:
     for a in candidates:
         if ideal.contains(a):
             continue
-        ok = any(
-            ideal.contains(join(u - n * abs(a), zero)) for n in range(nmax + 1)
-        )
+        size = abs(a)
+        ok = any(ideal.contains(join(u - n * size, zero)) for n in range(nmax + 1))
         if not ok:
             return False
     return True

@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from bms import laws
+from bms import duality, laws, sgroup
 from bms.laws import all_spaces, representative_spaces
-from bms.mspace import compose, enumerate_homs, hom_factors, identity
+from bms.mspace import compose, enumerate_homs, hom_factors, identity, new_space
 
 
 @pytest.mark.parametrize("bounds", [(3, 4), (4, 1)])
@@ -35,3 +35,40 @@ def test_category_laws_report_a_wrong_isomorphism_test(monkeypatch):
     failures = laws.check_category_laws(all_spaces(2, 2), [])
     assert failures
     assert all("isomorphism characterizations disagree" in msg for msg in failures)
+
+
+def _three_point_group():
+    return duality.function_group(new_space(["p1", "p2", "p3"], [1, 2, 3]))
+
+
+def test_hyperarch_builds_each_multiple_once(monkeypatch):
+    """Each f of the box [0, b]^3 is scaled by k = 0, ..., b + 1 and by
+    nothing else: (b + 2) * (b + 1)^3 scalar products in all."""
+    products = 0
+    scale = sgroup.GroupElement.__mul__
+
+    def counted(f, k):
+        nonlocal products
+        products += 1
+        return scale(f, k)
+
+    monkeypatch.setattr(sgroup.GroupElement, "__mul__", counted)
+    monkeypatch.setattr(sgroup.GroupElement, "__rmul__", counted)
+    bound = 2
+    assert laws.check_hyperarch([_three_point_group()], value_bound=bound) == []
+    assert products == (bound + 2) * (bound + 1) ** 3 == 108
+
+
+def test_singular_theory_computes_each_support_once(monkeypatch):
+    """One support per singular, then one for each meet and each join."""
+    calls = 0
+    support = sgroup.support
+
+    def counted(s):
+        nonlocal calls
+        calls += 1
+        return support(s)
+
+    monkeypatch.setattr(sgroup, "support", counted)
+    assert laws.check_singular_theory([_three_point_group()]) == []
+    assert calls <= 2**3 + 2 * 4**3
