@@ -131,7 +131,8 @@ def check_category_laws(
     Since Hom(Y, X) = prod over y of Hom({y}, X), the inverse is decided
     point by point (``_inverse_exists``), not by scanning Hom(Y, X).  The
     cubic associativity sweep runs over ``triple_spaces``, with each of its
-    hom-sets enumerated once; the quadratic checks run over all of ``spaces``.
+    hom-sets enumerated once and each composite g;h built once; the
+    quadratic checks run over all of ``spaces``.
     """
     failures = []
     for x, y in itertools.product(spaces, repeat=2):
@@ -146,23 +147,26 @@ def check_category_laws(
             # two-sided-inverse characterization of isomorphism
             if _inverse_exists(f.rows, back) != is_isomorphism(f):
                 failures.append(f"isomorphism characterizations disagree for {f!r}")
-    table = {(a, b): enumerate_homs(a, b) for a, b in itertools.product(triple_spaces, repeat=2)}
-    for x, y in itertools.product(triple_spaces, repeat=2):
+    pairs = list(itertools.product(triple_spaces, repeat=2))
+    table = {(a, b): enumerate_homs(a, b) for a, b in pairs}
+    # tails[y, z][i]: each h out of z with g;h, for the i-th g in Hom(y, z)
+    tails = {
+        (y, z): [[(h, compose(g, h)) for w in triple_spaces for h in table[z, w]] for g in table[y, z]]
+        for y, z in pairs
+    }
+    for x, y in pairs:
         for f in table[x, y]:
             for z in triple_spaces:
-                for g in table[y, z]:
+                for g, after_g in zip(table[y, z], tails[y, z]):
                     fg = compose(f, g)
                     expected_zeta = tuple(
                         zf * g.zeta(t) for zf, t in zip(f.zetas, f.targets)
                     )
                     if fg.zetas != expected_zeta:
                         failures.append(f"zeta multiplicativity fails for {f!r};{g!r}")
-                    for w in triple_spaces:
-                        for h in table[z, w]:
-                            if compose(fg, h) != compose(f, compose(g, h)):
-                                failures.append(
-                                    f"associativity fails at {f!r};{g!r};{h!r}"
-                                )
+                    for h, gh in after_g:
+                        if compose(fg, h) != compose(f, gh):
+                            failures.append(f"associativity fails at {f!r};{g!r};{h!r}")
     return failures
 
 
@@ -186,21 +190,28 @@ def check_round_trip(spaces: Sequence[MultiSpace]) -> list[str]:
 
 def check_naturality(spaces: Sequence[MultiSpace]) -> list[str]:
     """The unit square commutes for every enumerated morphism, and the
-    counit square for its dual homomorphism."""
+    counit square for its dual homomorphism.
+
+    The unit and counit isomorphisms are fetched once per pair of spaces
+    with a morphism, and each morphism's spectrum map is built once, for
+    both squares.
+    """
     failures = []
     for x, y in itertools.product(spaces, repeat=2):
-        for gamma in enumerate_homs(x, y):
+        homs = enumerate_homs(x, y)
+        if not homs:
+            continue
+        eta_x, eta_y = duality.unit_iso(x).forward, duality.unit_iso(y).forward
+        # every psi = dual_hom(gamma) goes from function_group(y) to function_group(x)
+        eps_x = duality.counit_iso(duality.function_group(x)).forward
+        eps_y = duality.counit_iso(duality.function_group(y)).forward
+        for gamma in homs:
             psi = duality.dual_hom(gamma)
-            lhs = compose(gamma, duality.unit_iso(y).forward)
-            rhs = compose(duality.unit_iso(x).forward, duality.spectrum_map(psi))
-            if lhs != rhs:
+            spec = duality.spectrum_map(psi)
+            if compose(gamma, eta_y) != compose(eta_x, spec):
                 failures.append(f"unit naturality fails for {gamma!r}")
-            sy = duality.function_group(y)
-            left = sgroup.compose_lhom(psi, duality.counit_iso(psi.cod).forward)
-            right = sgroup.compose_lhom(
-                duality.counit_iso(sy).forward,
-                duality.dual_hom(duality.spectrum_map(psi)),
-            )
+            left = sgroup.compose_lhom(psi, eps_x)
+            right = sgroup.compose_lhom(eps_y, duality.dual_hom(spec))
             if left != right:
                 failures.append(f"counit naturality fails for {gamma!r}")
     return failures
@@ -249,18 +260,19 @@ def check_limit_law(
     spaces: Sequence[MultiSpace], apexes: Sequence[MultiSpace]
 ) -> list[str]:
     """Binary products: LCM multiplicities, valid projections, and the
-    universal property against every test apex."""
+    universal property against every test apex.
+
+    The components of apex point k are read from row k of each leg.
+    """
     failures = []
     for x, y in itertools.combinations_with_replacement(spaces, 2):
         cone = limits.product(x, y)
-        for label, m in zip(cone.apex.labels, cone.apex.mults):
-            # label is "(a,b)"; recompute the LCM from the legs
-            comps = [leg(label) for leg in cone.legs]
-            expected = checked_lcm([x.mult(comps[0]), y.mult(comps[1])])
-            if m != expected:
+        for k, (label, m) in enumerate(zip(cone.apex.labels, cone.apex.mults)):
+            comps = [obj.mults[leg.rows[k][0]] for leg, obj in zip(cone.legs, (x, y))]
+            if m != checked_lcm(comps):
                 failures.append(f"multiplicity law fails at {label} of {x!r}x{y!r}")
-            for leg, obj in zip(cone.legs, (x, y)):
-                if m % obj.mult(leg(label)) != 0:
+            for n in comps:
+                if m % n != 0:
                     failures.append(f"projection divisibility fails at {label}")
         report = limits.verify_universal(cone, limits.Diagram((x, y)), apexes)
         if report["violations"]:

@@ -4,12 +4,17 @@ Limit apexes are compatible tuples of points; the apex multiplicity is the
 least common multiple of the component multiplicities.  ``limit`` extends
 partial tuples object by object, so that an arrow cuts the scan instead of
 filtering the whole product; a diagram without arrows is the plain product.
-``verify_universal``
-checks their universal property at one-point spaces, which decides it at
-every test apex; its ``cones`` counts the cones from the test apexes.
-Coproducts are disjoint unions.  Products and coproducts of Specker groups
-are obtained through the duality.  Pushouts and coequalizers are
-deliberately absent: the category does not have them in general.
+It builds the apex and legs without checking them again: tuple labels of
+checked labels, each LCM tested once against ``INT_LIMIT``, and leg
+multipliers lcm // m.  ``MultiSpace._trusted`` still refuses a repeated
+tuple label, which labels containing commas can produce.
+``verify_universal`` checks their universal property at one-point spaces,
+which decides it at every test apex; its ``cones`` counts the cones from
+the test apexes.
+Coproducts are disjoint unions, with prefixed labels that cannot collide.
+Products and coproducts of Specker groups are obtained through the
+duality.  Pushouts and coequalizers are deliberately absent: the category
+does not have them in general.
 """
 
 from __future__ import annotations
@@ -17,13 +22,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from math import lcm
 from typing import NoReturn, Sequence
 
 from .duality import dual_hom, function_group
-from .errors import MissingColimitError, SchemaError, SizeLimitError
-from .ints import checked_lcm
+from .errors import MissingColimitError, OverflowLimitError, SchemaError, SizeLimitError
+from .ints import INT_LIMIT
 from .mspace import (
     HOM_LIMIT,
     BmsMorphism,
@@ -128,16 +133,22 @@ def limit(diagram: Diagram) -> Cone:
 
     Apex points are ordered lexicographically over the canonical component
     orders; legs are the projections.  Above ``HOM_LIMIT`` point tuples it
-    raises SizeLimitError before scanning any.
+    raises SizeLimitError before scanning any, and OverflowLimitError when
+    an LCM exceeds ``INT_LIMIT``.
     """
     objs = diagram.objects
     count = math.prod(len(o) for o in objs)
     if count > HOM_LIMIT:
         raise SizeLimitError(f"{count} point tuples exceed the limit of {HOM_LIMIT}")
     components = _compatible_tuples(diagram)
-    points = [_tuple_label([o.labels[i] for o, i in zip(objs, c)]) for c in components]
-    mults = [checked_lcm(o.mults[i] for o, i in zip(objs, c)) for c in components]
-    apex = new_space(points, mults)
+    points = tuple([_tuple_label([o.labels[i] for o, i in zip(objs, c)]) for c in components])
+    mults = tuple([lcm(*[o.mults[i] for o, i in zip(objs, c)]) for c in components])
+    if max(mults, default=1) > INT_LIMIT:
+        over = next(p for p, m in zip(points, mults) if m > INT_LIMIT)
+        raise OverflowLimitError(f"lcm at point {over} exceeds the 64-bit bound")
+    # The labels are tuples of checked labels and each positive LCM is
+    # bounded above, so only a repeated tuple label is left to refuse.
+    apex = MultiSpace._trusted(points, mults)
     # Each multiplier is the lcm over the tuple divided by one component's
     # multiplicity, so the projections are built without the row check.
     legs = tuple(
@@ -172,9 +183,10 @@ def pullback(f: BmsMorphism, g: BmsMorphism) -> Cone:
 
 def coproduct(x: MultiSpace, y: MultiSpace) -> Cocone:
     """Disjoint union with L:/R: label prefixes; injections preserve mults."""
-    apex = new_space(
-        ["L:" + l for l in x.labels] + ["R:" + l for l in y.labels],
-        list(x.mults) + list(y.mults),
+    # The prefixes keep the checked labels of x and y apart, and every
+    # multiplicity is one already checked in x or y.
+    apex = MultiSpace._trusted(
+        tuple(["L:" + l for l in x.labels] + ["R:" + l for l in y.labels]), x.mults + y.mults
     )
     # Each point keeps its multiplicity: every multiplier is 1.
     inj_x = BmsMorphism._trusted(x, apex, identity_rows(len(x)))
@@ -229,15 +241,15 @@ def verify_universal(
     """
     found: dict[int, tuple[int, list[str]]] = {}
     for m in sorted({tm for t in test_apexes for tm in t.mults}):
-        point = new_space(["t"], [m])
-        mediators = Counter(
-            tuple([compose_rows((row,), leg.rows) for leg in candidate.legs])
-            for row in hom_factors((m,), candidate.apex.mults)[0]
-        )
+        point = MultiSpace._trusted(("t",), (m,))  # m is a checked multiplicity of a test apex
+        mediators: dict[tuple, int] = {}
+        for row in hom_factors((m,), candidate.apex.mults)[0]:
+            key = tuple([compose_rows((row,), leg.rows) for leg in candidate.legs])
+            mediators[key] = mediators.get(key, 0) + 1
         cones = _cones_from(point, diagram)
         messages = []
         for legs in cones:
-            n = mediators[tuple([l.rows for l in legs])]
+            n = mediators.get(tuple([l.rows for l in legs]), 0)
             if n != 1:
                 what = f"{n} mediating morphisms" if n else "no mediating morphism"
                 messages.append(f"{what} from {point!r} for cone {[l.targets for l in legs]}")

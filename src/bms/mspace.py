@@ -21,6 +21,16 @@ checking again: ``enumerate_homs`` (one candidate row of each
 injections of ``limits.coproduct``.  An ``sgroup.LHom`` is a view of its
 dual point map, so it is checked or trusted as that map is.
 ``compose_rows`` composes rows.
+
+Spaces are checked the same way: ``new_space`` checks every label and
+multiplicity, and spaces made from checked ones are built through the
+private ``MultiSpace._trusted``.  These are the apex of ``limits.limit``
+(tuple labels of checked labels, LCMs that ``limit`` bounds by
+``INT_LIMIT`` itself), the apex of ``limits.coproduct`` (prefixed labels,
+the multiplicities of its factors) and the one-point spaces of
+``limits.verify_universal``.  ``_trusted`` still refuses duplicate labels: a
+tuple label such as "(a,b,c)" arises from both ("a,b", "c") and
+("a", "b,c").
 """
 
 from __future__ import annotations
@@ -94,6 +104,25 @@ class MultiSpace:
                     raise SchemaError(f"multiplicity of {lab!r} must be >= 1, got {m}")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash((self.labels, self.mults)))
+
+    @staticmethod
+    def _trusted(labels: tuple[str, ...], mults: tuple[int, ...]) -> MultiSpace:
+        """A space built without the label-type and multiplicity checks.
+
+        Only for a tuple of string labels and a tuple of ints in
+        [1, ``INT_LIMIT``] of the same length.  Duplicate labels are still
+        refused, through the checked constructor and its message.
+        """
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
+            return MultiSpace(labels, mults)
+        space = _new(MultiSpace)
+        _set = object.__setattr__
+        _set(space, "labels", labels)
+        _set(space, "mults", mults)
+        _set(space, "_index", index)
+        _set(space, "_hash", hash((labels, mults)))
+        return space
 
     def __hash__(self) -> int:
         return self._hash

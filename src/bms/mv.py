@@ -16,12 +16,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import SchemaError, SizeLimitError
 from .sgroup import GroupElement, LHom, SpeckerGroup, apply_lhom, leq, meet
+
+# numpy is imported by the three functions that build tables, so importing
+# ``bms`` (and every ``bms`` command that checks no MV axiom) does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "SpeckerMV",
@@ -168,6 +171,8 @@ def verify_mv_axioms(algebra: SpeckerMV) -> dict:
         raise SizeLimitError(
             f"unit value {max(chains)} exceeds the chain limit {CHAIN_LIMIT} of gamma"
         )
+    import numpy as np
+
     violations = []
     for n in chains:
         idx = np.arange(n + 1)
@@ -179,6 +184,8 @@ def verify_mv_axioms(algebra: SpeckerMV) -> dict:
 def _table_violations(plus: np.ndarray, neg: np.ndarray, where: str) -> list[str]:
     """Failed MV equations of the index tables of an algebra on 0..m-1 with
     zero 0; ``where`` names the algebra in the messages."""
+    import numpy as np
+
     idx = np.arange(len(neg))
     violations = []
 
@@ -221,6 +228,8 @@ def verify_mv_axioms_exhaustive(algebra: SpeckerMV) -> dict:
         raise SizeLimitError(
             f"algebra of {size} elements exceeds the exhaustive cap {EXHAUSTIVE_CAP}"
         )
+    import numpy as np
+
     # elements yields the all-zero tuple first, the zero at index 0 that
     # _table_violations requires
     elems = [e.values for e in elements(algebra)]

@@ -449,7 +449,11 @@ def validate_lhom(
     ncols = len(dom.base)
     rows = []
     for r, row in enumerate(matrix):
-        row = [checked(v, "matrix entry") for v in row]
+        # checked() runs only on an entry that is not an int in range, to raise
+        row = [
+            v if type(v) is int and -INT_LIMIT <= v <= INT_LIMIT else checked(v, "matrix entry")
+            for v in row
+        ]
         if len(row) != ncols:
             raise SchemaError(f"row {r} has {len(row)} entries, expected {ncols}")
         positives = [(c, k) for c, k in enumerate(row) if k != 0]

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -150,6 +152,14 @@ def test_product_of_singletons(tmp_path, capsys):
     assert len(cone["legs"]) == 2
 
 
+def test_product_with_colliding_tuple_labels_is_schema_error(tmp_path, capsys):
+    a = write(tmp_path, "a.json", {"points": [{"label": "a,b", "mult": 1}, {"label": "a", "mult": 1}]})
+    b = write(tmp_path, "b.json", {"points": [{"label": "c", "mult": 1}, {"label": "b,c", "mult": 1}]})
+    code, out, err = run(capsys, "product", a, b)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "duplicate point label '(a,b,c)'", "kind": "schema"}
+
+
 def test_coproduct_equalizer_pullback(tmp_path, capsys):
     a = write(tmp_path, "a.json", {"points": [{"label": "a", "mult": 1}]})
     b = write(tmp_path, "b.json", {"points": [{"label": "a", "mult": 2}]})
@@ -219,6 +229,15 @@ def test_gamma_answers_without_enumerating(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["cardinality"] == 2401 and report["axioms"] == "pass"
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    """numpy is imported by the MV table checks that use it, not by
+    ``import bms.cli``, so commands that check no MV axiom skip its import."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    script = "import sys, bms.cli\nassert 'numpy' not in sys.modules, 'numpy loaded'\n"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
 
 
 def test_gamma_above_chain_limit_is_math_domain_error(tmp_path, capsys):

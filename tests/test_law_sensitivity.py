@@ -9,8 +9,8 @@ cannot tell a working library from a broken one.
 
 import pytest
 
-from bms import laws, sgroup
-from bms.laws import all_groups
+from bms import duality, laws, limits, mspace, sgroup
+from bms.laws import all_groups, all_spaces
 
 _contains = sgroup.ClosedSetIdeal.contains
 
@@ -62,3 +62,66 @@ def element_failure_counts(groups):
 def test_element_fault_is_reported(monkeypatch, target, name, fault, counts):
     monkeypatch.setattr(target, name, fault)
     assert element_failure_counts(all_groups(2, 3)) == counts
+
+
+def _compose_rows_dropping_second_multiplier(first, second):
+    return tuple([(second[j][0], z) for j, z in first])
+
+
+# (row id, the (object, attribute) bindings patched, replacement, failure
+# counts in the order category laws / naturality / limit law / duality
+# exchange).  A fault in a function is patched wherever a module imported it.
+MORPHISM_FAULTS = [
+    (
+        "limit takes max for lcm",
+        [(limits, "lcm")],
+        lambda *values: max(values, default=1),
+        (0, 0, 102, 0),
+    ),
+    (
+        "compose_rows drops the second multiplier",
+        [(mspace, "compose_rows"), (limits, "compose_rows"), (duality, "compose_rows")],
+        _compose_rows_dropping_second_multiplier,
+        (698, 204, 54, 0),
+    ),
+    (
+        "is_isomorphism always false",
+        [(mspace, "is_isomorphism"), (laws, "is_isomorphism")],
+        lambda m: False,
+        (22, 0, 0, 91),
+    ),
+]
+
+_CACHES = (duality.spectrum_space, duality.unit_iso, duality.counit_iso, limits._homs)
+
+
+def morphism_failure_counts(spaces):
+    return (
+        len(laws.check_category_laws(spaces, spaces)),
+        len(laws.check_naturality(spaces)),
+        len(laws.check_limit_law(spaces, spaces)),
+        len(laws.check_duality_exchange(spaces)),
+    )
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empty the caches of ``duality`` and ``limits`` around a row, so that
+    it neither reads values built before its fault nor leaves values built
+    under it."""
+    for cache in _CACHES:
+        cache.cache_clear()
+    yield
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "bindings, fault, counts",
+    [row[1:] for row in MORPHISM_FAULTS],
+    ids=[row[0] for row in MORPHISM_FAULTS],
+)
+def test_morphism_fault_is_reported(monkeypatch, fresh_caches, bindings, fault, counts):
+    for target, name in bindings:
+        monkeypatch.setattr(target, name, fault)
+    assert morphism_failure_counts(all_spaces(2, 3)) == counts

@@ -1,8 +1,9 @@
+import collections
 import itertools
 
 import pytest
 
-from bms import duality, laws, sgroup
+from bms import duality, laws, limits, sgroup
 from bms.laws import all_spaces, representative_spaces
 from bms.mspace import compose, enumerate_homs, hom_factors, identity, new_space
 
@@ -35,6 +36,38 @@ def test_category_laws_report_a_wrong_isomorphism_test(monkeypatch):
     failures = laws.check_category_laws(all_spaces(2, 2), [])
     assert failures
     assert all("isomorphism characterizations disagree" in msg for msg in failures)
+
+
+def test_naturality_builds_one_spectrum_map_per_morphism(monkeypatch):
+    spaces = all_spaces(2, 3)
+    calls = 0
+    spectrum_map = duality.spectrum_map
+
+    def counted(psi):
+        nonlocal calls
+        calls += 1
+        return spectrum_map(psi)
+
+    monkeypatch.setattr(duality, "spectrum_map", counted)
+    assert laws.check_naturality(spaces) == []
+    homs = sum(len(enumerate_homs(x, y)) for x, y in itertools.product(spaces, repeat=2))
+    assert calls == homs > 0
+
+
+def test_limit_law_counts_mediators_without_a_counter(monkeypatch):
+    built = 0
+
+    class CountedCounter(collections.Counter):
+        def __init__(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(collections, "Counter", CountedCounter)
+    monkeypatch.setattr(limits, "Counter", CountedCounter, raising=False)
+    spaces = all_spaces(2, 3)
+    assert laws.check_limit_law(spaces, spaces) == []
+    assert built == 0
 
 
 def _three_point_group():

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from bms.duality import dual_hom, function_group
-from bms.errors import MissingColimitError, SchemaError
-from bms.ints import checked_lcm
+from bms.errors import MissingColimitError, OverflowLimitError, SchemaError
+from bms.ints import INT_LIMIT, checked_lcm
 from bms.laws import all_spaces, check_duality_exchange, check_limit_law
 from bms.limits import (
     Cone,
@@ -110,6 +110,35 @@ def test_limit_agrees_with_specializations():
     assert limit(Diagram((x, y, pt), ((0, 2, f), (1, 2, g)))) == pullback(f, g)
 
 
+def _assert_same_space(built, checked):
+    """A space built without the checks behaves as its copy from the checked ``new_space``."""
+    assert built == checked and hash(built) == hash(checked)
+    assert all(type(m) is int for m in built.mults)
+    assert [built.index(l) for l in checked.labels] == list(range(len(checked)))
+
+
+def test_product_and_coproduct_apexes_match_checked_spaces():
+    for x, y in itertools.product(all_spaces(3, 4), repeat=2):
+        for apex in (product(x, y).apex, coproduct(x, y).apex):
+            _assert_same_space(apex, new_space(list(apex.labels), list(apex.mults)))
+
+
+def test_colliding_tuple_labels_are_refused():
+    # ("a,b", "c") and ("a", "b,c") both give the label "(a,b,c)"
+    x = new_space(["a,b", "a"], [1, 1])
+    y = new_space(["c", "b,c"], [1, 1])
+    with pytest.raises(SchemaError, match=r"^duplicate point label '\(a,b,c\)'$"):
+        product(x, y)
+
+
+def test_lcm_above_the_bound_is_refused():
+    assert product(new_space(["a"], [INT_LIMIT]), new_space(["b"], [7])).apex.mults == (INT_LIMIT,)
+    with pytest.raises(OverflowLimitError):
+        product(new_space(["a"], [INT_LIMIT]), new_space(["b"], [2]))
+    with pytest.raises(OverflowLimitError, match=r"^lcm at point \(c,b\) exceeds the 64-bit bound$"):
+        product(new_space(["a", "c"], [1, 2**62]), new_space(["b"], [3**39]))
+
+
 def _naive_limit(diagram):
     """Oracle: scan every tuple of the product of point indices and keep the
     ones on which every arrow commutes; the legs go through the row check."""
@@ -133,6 +162,7 @@ def _naive_limit(diagram):
 def _assert_limit_is_naive(diagram):
     fast, slow = limit(diagram), _naive_limit(diagram)
     assert fast.apex == slow.apex and fast.apex.labels == slow.apex.labels
+    _assert_same_space(fast.apex, slow.apex)
     assert [l.rows for l in fast.legs] == [l.rows for l in slow.legs]
     assert fast == slow
     return fast

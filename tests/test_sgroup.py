@@ -297,6 +297,30 @@ def test_lhom_shape_errors():
         validate_lhom([[1]], dom2, cod1)         # wrong width
 
 
+@pytest.mark.parametrize(
+    "entry, error, message",
+    [
+        (True, SchemaError, "matrix entry must be an integer, got True"),
+        (1.0, SchemaError, "matrix entry must be an integer, got 1.0"),
+        ("1", SchemaError, "matrix entry must be an integer, got '1'"),
+        (INT_LIMIT + 1, OverflowLimitError, f"matrix entry {INT_LIMIT + 1} exceeds the 64-bit bound"),
+        (-INT_LIMIT - 1, OverflowLimitError, f"matrix entry {-INT_LIMIT - 1} exceeds the 64-bit bound"),
+    ],
+)
+def test_lhom_entries_are_checked_in_every_column(entry, error, message):
+    for matrix in ([[entry, 1]], [[1, entry]]):
+        with pytest.raises(error) as info:
+            validate_lhom(matrix, grp(1, 1), grp(1))
+        assert str(info.value) == message
+
+
+def test_lhom_entries_at_the_bound_are_accepted():
+    h = validate_lhom([[INT_LIMIT, 0]], grp(1, 1), grp(INT_LIMIT))
+    assert h.rows == ((0, INT_LIMIT),)
+    with pytest.raises(SchemaError, match="negative entry"):
+        validate_lhom([[INT_LIMIT, -INT_LIMIT]], grp(1, 1), grp(INT_LIMIT))
+
+
 def test_lhom_point_map_round_trip():
     dom = grp(2, labels=["v"])
     cod = grp(4, labels=["w"])
