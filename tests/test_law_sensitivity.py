@@ -68,27 +68,77 @@ def _compose_rows_dropping_second_multiplier(first, second):
     return tuple([(second[j][0], z) for j, z in first])
 
 
+_coproduct = limits.coproduct
+_group_product = limits.group_product
+_group_coproduct = limits.group_coproduct
+
+
+def _coproduct_with_a_junk_point(x, y):
+    cc = _coproduct(x, y)
+    apex = mspace.new_space(cc.apex.labels + ("junk",), cc.apex.mults + (1,))
+    return limits.Cocone(apex, tuple(mspace.BmsMorphism(i.dom, apex, i.rows) for i in cc.injections))
+
+
+def _apply_lhom_dropping_the_multiplier(h, f):
+    return sgroup.GroupElement(h.cod, [f.values[c] for c, _ in h.rows])
+
+
+def _group_product_swapping_projections(s, t):
+    p = _group_product(s, t)
+    return limits.GroupProduct(p.group, p.projections[::-1])
+
+
+def _group_coproduct_swapping_injections(s, t):
+    c = _group_coproduct(s, t)
+    return limits.GroupCoproduct(c.group, c.injections[::-1])
+
+
 # (row id, the (object, attribute) bindings patched, replacement, failure
 # counts in the order category laws / naturality / limit law / duality
-# exchange).  A fault in a function is patched wherever a module imported it.
+# exchange / functoriality).  A fault in a function is patched wherever a
+# module imported it.
 MORPHISM_FAULTS = [
     (
         "limit takes max for lcm",
         [(limits, "lcm")],
         lambda *values: max(values, default=1),
-        (0, 0, 102, 0),
+        (0, 0, 102, 0, 0),
     ),
     (
         "compose_rows drops the second multiplier",
         [(mspace, "compose_rows"), (limits, "compose_rows"), (duality, "compose_rows")],
         _compose_rows_dropping_second_multiplier,
-        (698, 204, 54, 0),
+        (698, 204, 54, 0, 596),
     ),
     (
         "is_isomorphism always false",
         [(mspace, "is_isomorphism"), (laws, "is_isomorphism")],
         lambda m: False,
-        (22, 0, 0, 91),
+        (22, 0, 0, 91, 0),
+    ),
+    (
+        "coproduct adds a junk point",
+        [(limits, "coproduct")],
+        _coproduct_with_a_junk_point,
+        (0, 0, 0, 91, 0),
+    ),
+    (
+        "apply_lhom drops the multiplier",
+        [(sgroup, "apply_lhom")],
+        _apply_lhom_dropping_the_multiplier,
+        (0, 0, 0, 0, 1162),
+    ),
+    (
+        "group_product swaps its projections",
+        [(limits, "group_product")],
+        _group_product_swapping_projections,
+        (0, 0, 0, 78, 0),
+    ),
+    (
+        "group_coproduct swaps its injections",
+        [(limits, "group_coproduct")],
+        _group_coproduct_swapping_injections,
+        (0, 0, 0, 78, 0),
     ),
 ]
 
@@ -101,6 +151,7 @@ def morphism_failure_counts(spaces):
         len(laws.check_naturality(spaces)),
         len(laws.check_limit_law(spaces, spaces)),
         len(laws.check_duality_exchange(spaces)),
+        len(laws.check_functoriality(spaces)),
     )
 
 
@@ -125,3 +176,25 @@ def test_morphism_fault_is_reported(monkeypatch, fresh_caches, bindings, fault, 
     for target, name in bindings:
         monkeypatch.setattr(target, name, fault)
     assert morphism_failure_counts(all_spaces(2, 3)) == counts
+
+
+# The ``run_laws`` entries of the five morphism counts, in their order.
+MORPHISM_CHECKS = ("category_laws", "naturality", "limit_law", "duality_exchange", "functoriality")
+
+
+@pytest.mark.parametrize(
+    "bindings, fault, counts",
+    [row[1:] for row in MORPHISM_FAULTS],
+    ids=[row[0] for row in MORPHISM_FAULTS],
+)
+def test_run_laws_reports_a_morphism_fault_without_raising(
+    monkeypatch, fresh_caches, bindings, fault, counts
+):
+    """Each check that counts failures under a row also reports some in
+    ``run_laws`` at its default bounds, and no row makes it raise."""
+    for target, name in bindings:
+        monkeypatch.setattr(target, name, fault)
+    report = laws.run_laws(2, 3)
+    assert not report["ok"]
+    for check, count in zip(MORPHISM_CHECKS, counts):
+        assert bool(report["checks"][check]["failures"]) == bool(count), check

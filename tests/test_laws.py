@@ -54,6 +54,23 @@ def test_naturality_builds_one_spectrum_map_per_morphism(monkeypatch):
     assert calls == homs > 0
 
 
+def test_duality_exchange_builds_one_limit_per_pair(monkeypatch):
+    """``group_coproduct`` builds the one product of each pair; the check
+    builds no other limit."""
+    calls = 0
+    limit = limits.limit
+
+    def counted(diagram):
+        nonlocal calls
+        calls += 1
+        return limit(diagram)
+
+    monkeypatch.setattr(limits, "limit", counted)
+    spaces = all_spaces(2, 3)
+    assert laws.check_duality_exchange(spaces) == []
+    assert calls == len(spaces) * (len(spaces) + 1) // 2 == 91
+
+
 def test_limit_law_counts_mediators_without_a_counter(monkeypatch):
     built = 0
 

@@ -244,3 +244,16 @@ def test_pushout_demo_report():
     assert report["min_prefix_length"] == 17
     assert report["representable_for_all_n"] is False
     assert report["confirmed"]
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [lambda b: countable_power_demo(max_k=b), lambda b: pushout_demo(bound=b)],
+    ids=["power", "pushout"],
+)
+def test_negative_demo_bound_is_schema_error(demo):
+    """A negative bound has no witnesses to confirm, so it is refused, as
+    the CLI refuses it; bound 0 still confirms."""
+    with pytest.raises(SchemaError, match="bound must be >= 0"):
+        demo(-1)
+    assert demo(0)["confirmed"]
