@@ -32,4 +32,7 @@ class SizeLimitError(MathDomainError):
 
 
 class MissingColimitError(BmsError):
-    """Raised for colimit constructions the category does not admit."""
+    """Raised for the colimit constructions that are not implemented yet.
+
+    Finite multispaces have pushouts and coequalizers; the obstruction to
+    them is the omega+1 case, replayed by ``omega.pushout_demo``."""

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import duality, limits, mv, omega, sgroup
 from .errors import SchemaError, SizeLimitError
-from .ints import checked, checked_lcm
+from .ints import checked_lcm
 from .mspace import (
     MultiSpace,
     Rows,
@@ -24,7 +24,7 @@ from .mspace import (
     is_isomorphism,
     new_space,
 )
-from .sgroup import GroupElement, SpeckerGroup
+from .sgroup import SpeckerGroup, box_elements
 
 # ``run_laws`` sweeps at most four points.  Beyond that the universe cap is
 # not enough: (5, 2) has only 63 spaces but 1,280,982 morphisms, and (6, 1)
@@ -36,7 +36,6 @@ LAWS_UNIVERSE_CAP = 100
 __all__ = [
     "all_spaces",
     "all_groups",
-    "random_spaces",
     "box_elements",
     "representative_spaces",
     "check_category_laws",
@@ -68,28 +67,6 @@ def all_spaces(max_points: int, max_mult: int) -> list[MultiSpace]:
 
 def all_groups(max_points: int, max_mult: int) -> list[SpeckerGroup]:
     return [duality.function_group(x) for x in all_spaces(max_points, max_mult)]
-
-
-def random_spaces(count: int, n_points: int, max_mult: int, seed: int = 0) -> list[MultiSpace]:
-    rng = random.Random(seed)
-    labels = [f"q{i}" for i in range(1, n_points + 1)]
-    return [
-        new_space(labels, [rng.randint(1, max_mult) for _ in range(n_points)])
-        for _ in range(count)
-    ]
-
-
-def box_elements(group: SpeckerGroup, lo: int, hi: int) -> Iterator[GroupElement]:
-    """Every element with all values in [lo, hi], in lexicographic order.
-
-    The two bounds are checked against ``INT_LIMIT`` before the first
-    element, so the elements themselves need no further check.
-    """
-    checked(lo, "box bound")
-    checked(hi, "box bound")
-    trusted = GroupElement._trusted
-    for vals in itertools.product(range(lo, hi + 1), repeat=len(group.base)):
-        yield trusted(group, vals)
 
 
 # -- category structure -------------------------------------------------------
@@ -442,9 +419,16 @@ def check_hyperarch(groups: Sequence[SpeckerGroup], value_bound: int = 3) -> lis
 def check_stone_restriction(spaces: Sequence[MultiSpace]) -> list[str]:
     """On constant-multiplicity-1 spaces the duality restricts to maps of
     powerset atoms: units are singular, hom-sets are all point maps, and
-    dual homomorphisms act on supports by preimage."""
+    dual homomorphisms act on supports by preimage.
+
+    The singular elements of each G(Y), with their supports, are built once
+    per space, not once per morphism into it."""
     failures = []
     ones = [x for x in spaces if all(m == 1 for m in x.mults)]
+    singulars = {}
+    for y in ones:
+        box = list(box_elements(duality.function_group(y), 0, 1))
+        singulars[y] = list(zip(box, map(sgroup.support, box)))
     for x, y in itertools.product(ones, repeat=2):
         homs = enumerate_homs(x, y)
         if len(homs) != len(y) ** len(x):
@@ -454,15 +438,12 @@ def check_stone_restriction(spaces: Sequence[MultiSpace]) -> list[str]:
             failures.append(f"unit of {x!r} is not singular")
         for gamma in homs:
             psi = duality.dual_hom(gamma)
-            for vals in itertools.product((0, 1), repeat=len(y)):
-                s = GroupElement(duality.function_group(y), vals)
+            for s, on in singulars[y]:
                 image = sgroup.apply_lhom(psi, s)
                 if not sgroup.is_singular(image):
                     failures.append(f"dual hom does not preserve singulars at {gamma!r}")
                     continue
-                preimage = frozenset(
-                    l for l in x.labels if gamma(l) in sgroup.support(s)
-                )
+                preimage = frozenset(l for l in x.labels if gamma(l) in on)
                 if sgroup.support(image) != preimage:
                     failures.append(f"support preimage law fails at {gamma!r}")
     return failures

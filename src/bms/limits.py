@@ -4,17 +4,22 @@ Limit apexes are compatible tuples of points; the apex multiplicity is the
 least common multiple of the component multiplicities.  ``limit`` extends
 partial tuples object by object, so that an arrow cuts the scan instead of
 filtering the whole product; a diagram without arrows is the plain product.
-It builds the apex and legs without checking them again: tuple labels of
-checked labels, each LCM tested once against ``INT_LIMIT``, and leg
-multipliers lcm // m.  ``MultiSpace._trusted`` still refuses a repeated
-tuple label, which labels containing commas can produce.
+It tests each LCM once against ``INT_LIMIT`` and builds the apex with the
+checked ``MultiSpace`` constructor, which refuses a repeated tuple label,
+as labels containing commas can produce.  Its legs, whose multipliers are
+lcm // m, are the one use of ``BmsMorphism._trusted`` outside ``mspace``:
+they are not checked again, so a wrong multiplicity in the apex reaches
+``laws.check_limit_law`` as a failed law instead of stopping the sweep.
 ``verify_universal`` checks their universal property at one-point spaces,
 which decides it at every test apex; its ``cones`` counts the cones from
 the test apexes.
 Coproducts are disjoint unions, with prefixed labels that cannot collide.
 Products and coproducts of Specker groups are obtained through the
-duality.  Pushouts and coequalizers are deliberately absent: the category
-does not have them in general.
+duality.  Finite multispaces have coequalizers (the quotient by the
+generated relation, each class with the gcd of its multiplicities) and so
+pushouts, but neither is implemented yet: ``pushout`` and ``coequalizer``
+raise ``MissingColimitError``.  What fails in general is the omega+1 case,
+where such a gcd need not be continuous (``omega.pushout_demo``).
 """
 
 from __future__ import annotations
@@ -146,9 +151,7 @@ def limit(diagram: Diagram) -> Cone:
     if max(mults, default=1) > INT_LIMIT:
         over = next(p for p, m in zip(points, mults) if m > INT_LIMIT)
         raise OverflowLimitError(f"lcm at point {over} exceeds the 64-bit bound")
-    # The labels are tuples of checked labels and each positive LCM is
-    # bounded above, so only a repeated tuple label is left to refuse.
-    apex = MultiSpace._trusted(points, mults)
+    apex = MultiSpace(points, mults)
     # Each multiplier is the lcm over the tuple divided by one component's
     # multiplicity, so the projections are built without the row check.
     legs = tuple(
@@ -183,14 +186,11 @@ def pullback(f: BmsMorphism, g: BmsMorphism) -> Cone:
 
 def coproduct(x: MultiSpace, y: MultiSpace) -> Cocone:
     """Disjoint union with L:/R: label prefixes; injections preserve mults."""
-    # The prefixes keep the checked labels of x and y apart, and every
-    # multiplicity is one already checked in x or y.
-    apex = MultiSpace._trusted(
+    apex = MultiSpace(
         tuple(["L:" + l for l in x.labels] + ["R:" + l for l in y.labels]), x.mults + y.mults
     )
-    # Each point keeps its multiplicity: every multiplier is 1.
-    inj_x = BmsMorphism._trusted(x, apex, identity_rows(len(x)))
-    inj_y = BmsMorphism._trusted(y, apex, tuple([(len(x) + i, 1) for i in range(len(y))]))
+    inj_x = BmsMorphism(x, apex, identity_rows(len(x)))
+    inj_y = BmsMorphism(y, apex, tuple([(len(x) + i, 1) for i in range(len(y))]))
     return Cocone(apex, (inj_x, inj_y))
 
 
@@ -241,7 +241,7 @@ def verify_universal(
     """
     found: dict[int, tuple[int, list[str]]] = {}
     for m in sorted({tm for t in test_apexes for tm in t.mults}):
-        point = MultiSpace._trusted(("t",), (m,))  # m is a checked multiplicity of a test apex
+        point = MultiSpace(("t",), (m,))
         mediators: dict[tuple, int] = {}
         for row in hom_factors((m,), candidate.apex.mults)[0]:
             key = tuple([compose_rows((row,), leg.rows) for leg in candidate.legs])

@@ -13,24 +13,16 @@ every hom-set is counted, enumerated or streamed from these factors.
 Calling ``BmsMorphism`` checks every row, and so do
 ``new_morphism`` (label maps), ``sgroup.validate_lhom`` (dense matrices) and
 ``duality.spectrum_map`` and ``duality.unit_iso``, whose rows are valid only
-if the spectrum's residues are right.  Rows that are valid by construction
-build the morphism through the private ``BmsMorphism._trusted`` without
-checking again: ``enumerate_homs`` (one candidate row of each
-``hom_factors`` factor), ``compose`` (z * z' * m(l) = z * m(j) = m(i)),
-``identity``, the legs of ``limits.limit`` (multiplier lcm // m) and the
-injections of ``limits.coproduct``.  An ``sgroup.LHom`` is a view of its
-dual point map, so it is checked or trusted as that map is.
-``compose_rows`` composes rows.
-
-Spaces are checked the same way: ``new_space`` checks every label and
-multiplicity, and spaces made from checked ones are built through the
-private ``MultiSpace._trusted``.  These are the apex of ``limits.limit``
-(tuple labels of checked labels, LCMs that ``limit`` bounds by
-``INT_LIMIT`` itself), the apex of ``limits.coproduct`` (prefixed labels,
-the multiplicities of its factors) and the one-point spaces of
-``limits.verify_universal``.  ``_trusted`` still refuses duplicate labels: a
-tuple label such as "(a,b,c)" arises from both ("a,b", "c") and
-("a", "b,c").
+if the spectrum's residues are right.  Within this module, rows that are
+valid by construction build the morphism through the private
+``BmsMorphism._trusted`` without checking again: ``enumerate_homs`` (one
+candidate row of each ``hom_factors`` factor), ``compose``
+(z * z' * m(l) = z * m(j) = m(i)) and ``identity``.  An ``sgroup.LHom`` is
+a view of its dual point map, so it is checked or trusted as that map is.
+The legs of ``limits.limit`` are the one use outside this module, and
+``tests/test_trusted_scope.py`` fails on any other.  ``compose_rows``
+composes rows.  Every space is built by the checked ``MultiSpace``
+constructor.
 """
 
 from __future__ import annotations
@@ -75,8 +67,9 @@ class MultiSpace:
     """An ordered tuple of distinct point labels with their multiplicities.
 
     Point order is part of the value: it fixes every enumeration order
-    downstream.  The empty space is legal.  The hash is computed once, when
-    the space is built, since spaces key the caches of ``duality`` and
+    downstream.  The empty space is legal.  Labels and multiplicities given
+    as other sequences are stored as tuples.  The hash is computed once,
+    when the space is built, since spaces key the caches of ``duality`` and
     ``limits``; a pickled or copied space is rebuilt, and so rehashed.
     """
 
@@ -86,6 +79,10 @@ class MultiSpace:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if type(self.labels) is not tuple:
+            object.__setattr__(self, "labels", tuple(self.labels))
+        if type(self.mults) is not tuple:
+            object.__setattr__(self, "mults", tuple(self.mults))
         if len(self.labels) != len(self.mults):
             raise SchemaError(
                 f"{len(self.labels)} labels but {len(self.mults)} multiplicities"
@@ -104,25 +101,6 @@ class MultiSpace:
                     raise SchemaError(f"multiplicity of {lab!r} must be >= 1, got {m}")
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_hash", hash((self.labels, self.mults)))
-
-    @staticmethod
-    def _trusted(labels: tuple[str, ...], mults: tuple[int, ...]) -> MultiSpace:
-        """A space built without the label-type and multiplicity checks.
-
-        Only for a tuple of string labels and a tuple of ints in
-        [1, ``INT_LIMIT``] of the same length.  Duplicate labels are still
-        refused, through the checked constructor and its message.
-        """
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            return MultiSpace(labels, mults)
-        space = _new(MultiSpace)
-        _set = object.__setattr__
-        _set(space, "labels", labels)
-        _set(space, "mults", mults)
-        _set(space, "_index", index)
-        _set(space, "_hash", hash((labels, mults)))
-        return space
 
     def __hash__(self) -> int:
         return self._hash
@@ -162,8 +140,8 @@ class BmsMorphism:
 
     ``rows[i] = (j, z)``: domain point i goes to codomain point j, and its
     multiplier z satisfies z * m_cod(j) = m_dom(i).  Calling the class
-    checks every row.  ``targets``, ``zetas`` and ``mapping`` read the rows
-    back as labels.
+    checks every row and stores rows given as another sequence as a tuple.
+    ``targets``, ``zetas`` and ``mapping`` read the rows back as labels.
     """
 
     dom: MultiSpace
@@ -171,6 +149,8 @@ class BmsMorphism:
     rows: Rows
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not tuple:
+            object.__setattr__(self, "rows", tuple(self.rows))
         rows, mults, cod_mults = self.rows, self.dom.mults, self.cod.mults
         if len(rows) != len(mults):
             raise SchemaError(f"{len(rows)} rows for {len(mults)} points")

@@ -111,14 +111,10 @@ def mv_neg(x: GroupElement) -> GroupElement:
 
 
 def elements(algebra: SpeckerMV) -> Iterator[GroupElement]:
-    """All unit-interval elements, in lexicographic value order.
-
-    Their values lie between 0 and the validated multiplicities, so they
-    are built without a further check.
-    """
+    """All unit-interval elements, in lexicographic value order."""
     ranges = [range(u + 1) for u in algebra.group.base.mults]
     for vals in itertools.product(*ranges):
-        yield GroupElement._trusted(algebra.group, vals)
+        yield GroupElement(algebra.group, vals)
 
 
 def cardinality(algebra: SpeckerMV) -> int:

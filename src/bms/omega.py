@@ -71,7 +71,8 @@ class ECSeq:
     ``prefix`` holds the initial values; ``tail`` is the value at every
     later position and at infinity.  Canonical form: the last prefix entry
     differs from the tail (or the prefix is empty), so equal functions have
-    equal representations.
+    equal representations.  A prefix given as another sequence is stored as
+    a tuple.
     """
 
     prefix: tuple[int, ...]
@@ -79,9 +80,9 @@ class ECSeq:
 
     def __post_init__(self) -> None:
         checked(self.tail, "tail")
-        for v in self.prefix:
+        p = self.prefix if type(self.prefix) is tuple else tuple(self.prefix)
+        for v in p:
             checked(v, "prefix value")
-        p = self.prefix
         while p and p[-1] == self.tail:
             p = p[:-1]
         object.__setattr__(self, "prefix", p)
@@ -196,14 +197,6 @@ def subgroup_membership(target: ECSeq, generators: Sequence[ECSeq]) -> Membershi
     if len(hot) == 1 and abs(w[hot[0]]) == 1:
         coordinate = "tail" if hot[0] == n_pos else hot[0]
     return MembershipResult(False, None, cert, coordinate)
-
-
-def combine(coefficients: Sequence[int], generators: Sequence[ECSeq]) -> ECSeq:
-    """The integer combination sum(c_i * g_i)."""
-    out = const(0)
-    for c, g in zip(coefficients, generators):
-        out = ec_add(out, ec_scalar_mul(c, g))
-    return out
 
 
 # -- obstruction demos --------------------------------------------------------

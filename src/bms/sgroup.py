@@ -9,8 +9,8 @@ codomain's base to the domain's, and composition, identities and the dual
 maps of ``duality`` are those of point maps; its groups are built from that
 map when asked for.  ``validate_lhom`` is the one decoder of the dense
 matrix form and checks its rows through the ``BmsMorphism`` constructor.
-``identity_lhom`` and ``compose_lhom`` take their rows from the private
-``BmsMorphism._trusted`` of ``identity`` and ``compose``, which do not check
+``identity_lhom`` and ``compose_lhom`` take their point maps from
+``mspace.identity`` and ``mspace.compose``, which do not check the rows
 again: identity rows (i, 1) and composites of checked rows satisfy the
 divisibility rule by construction.
 
@@ -20,10 +20,11 @@ checks the length and that every value is an int, not a bool, with
 |v| <= ``INT_LIMIT``.  Operations whose results stay in range by
 construction build elements through the private ``GroupElement._trusted``
 without checking again: ``meet``, ``join``, unary ``-`` and ``abs`` (the
-bound is symmetric), ``laws.box_elements`` (after checking its two bounds)
-and ``mv.elements``.  Only ``+``, ``-`` and scalar ``*`` can grow a value;
-each tests its result's extremes against the bound once and raises
-``OverflowLimitError`` beyond it.
+bound is symmetric) and ``box_elements`` (after checking its two bounds).
+Only ``+``, ``-`` and scalar ``*`` can grow a value; each tests its result's
+extremes against the bound once and raises ``OverflowLimitError`` beyond it.
+No other module reaches ``_trusted``: ``tests/test_trusted_scope.py`` fails
+if one does.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .mspace import BmsMorphism, MultiSpace, compose, identity, space_from_dict,
 __all__ = [
     "SpeckerGroup",
     "GroupElement",
+    "box_elements",
     "MaximalIdeal",
     "ClosedSetIdeal",
     "LHom",
@@ -60,7 +62,6 @@ __all__ = [
     "is_maximal",
     "is_maximal_by_criterion",
     "hyperarch_witness",
-    "hyperarch_witness_by_scan",
     "validate_lhom",
     "apply_lhom",
     "identity_lhom",
@@ -174,6 +175,18 @@ def _bounded(group: SpeckerGroup, values: tuple[int, ...], context: str) -> Grou
         for v in values:
             checked(v, context)
     return _trusted(group, values)
+
+
+def box_elements(group: SpeckerGroup, lo: int, hi: int) -> Iterator[GroupElement]:
+    """Every element with all values in [lo, hi], in lexicographic order.
+
+    The two bounds are checked against ``INT_LIMIT`` before the first
+    element, so the elements themselves need no further check.
+    """
+    checked(lo, "box bound")
+    checked(hi, "box bound")
+    for vals in itertools.product(range(lo, hi + 1), repeat=len(group.base)):
+        yield _trusted(group, vals)
 
 
 def meet(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -373,12 +386,6 @@ def is_maximal_by_criterion(ideal: ClosedSetIdeal) -> bool:
 
 # -- hyperarchimedean witness -------------------------------------------------
 
-def _require_nonnegative(f: GroupElement, g: GroupElement) -> None:
-    f._same_group(g)
-    if min(f.values, default=0) < 0 or min(g.values, default=0) < 0:
-        raise SchemaError("hyperarch_witness requires nonnegative elements")
-
-
 def hyperarch_witness(f: GroupElement, g: GroupElement) -> int:
     """Least n with n*f /\\ g = (n+1)*f /\\ g, for nonnegative f and g.
 
@@ -387,20 +394,10 @@ def hyperarch_witness(f: GroupElement, g: GroupElement) -> int:
     ceil(g_i / f_i) over the points with f_i > 0, or 0 if there are none,
     and at most the largest value of g.
     """
-    _require_nonnegative(f, g)
+    f._same_group(g)
+    if min(f.values, default=0) < 0 or min(g.values, default=0) < 0:
+        raise SchemaError("hyperarch_witness requires nonnegative elements")
     return max((-(-b // a) for a, b in zip(f.values, g.values) if a), default=0)
-
-
-def hyperarch_witness_by_scan(f: GroupElement, g: GroupElement) -> int:
-    """``hyperarch_witness`` by scanning n = 0, 1, ... until the meets agree.
-
-    Builds four elements per step; kept as the test oracle of the closed form.
-    """
-    _require_nonnegative(f, g)
-    n = 0
-    while meet(n * f, g) != meet((n + 1) * f, g):
-        n += 1
-    return n
 
 
 # -- unital l-homomorphisms ---------------------------------------------------

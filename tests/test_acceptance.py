@@ -14,10 +14,20 @@ import numpy as np
 
 from bms import duality, laws, limits, mv, omega, sgroup
 from bms.intlinalg import certificate_holds
-from bms.laws import all_groups, all_spaces, random_spaces
-from bms.mspace import new_space
-from bms.omega import ECSeq, combine, ec_value, subgroup_membership
+from bms.laws import all_groups, all_spaces
+from bms.mspace import MultiSpace, new_space
+from bms.omega import ECSeq, ec_value, subgroup_membership
 from bms.sgroup import SpeckerGroup
+from omega_helpers import combine
+
+
+def random_spaces(count: int, n_points: int, max_mult: int, seed: int = 0) -> list[MultiSpace]:
+    rng = random.Random(seed)
+    labels = [f"q{i}" for i in range(1, n_points + 1)]
+    return [
+        new_space(labels, [rng.randint(1, max_mult) for _ in range(n_points)])
+        for _ in range(count)
+    ]
 
 
 def _report(num, name, failures, elapsed, budget=None):

@@ -122,3 +122,21 @@ def test_singular_theory_computes_each_support_once(monkeypatch):
     monkeypatch.setattr(sgroup, "support", counted)
     assert laws.check_singular_theory([_three_point_group()]) == []
     assert calls <= 2**3 + 2 * 4**3
+
+
+def test_stone_restriction_builds_the_singulars_once_per_space(monkeypatch):
+    """The singular elements of each G(Y) come from ``box_elements`` once per
+    space, so the only checked element of a pair is the unit of G(X)."""
+    built = 0
+    post_init = sgroup.GroupElement.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(sgroup.GroupElement, "__post_init__", counted)
+    spaces = all_spaces(3, 2)
+    ones = [x for x in spaces if set(x.mults) <= {1}]
+    assert laws.check_stone_restriction(spaces) == []
+    assert 0 < built <= len(ones) ** 2 == 16

@@ -16,6 +16,7 @@ from bms.ints import INT_LIMIT
 from bms.laws import all_spaces
 from bms.mspace import (
     BmsMorphism,
+    MultiSpace,
     are_isomorphic,
     compose,
     enumerate_homs,
@@ -337,6 +338,19 @@ def test_space_hash_is_cached_and_agrees_with_equality():
     hits = duality.spectrum_space.cache_info().hits
     duality.spectrum_space(sgroup.SpeckerGroup(new_space(["a", "b"], [2, 3])))
     assert duality.spectrum_space.cache_info().hits == hits + 1
+
+
+def test_list_labels_and_multiplicities_are_stored_as_tuples():
+    x = MultiSpace(["a"], [1])
+    assert type(x.labels) is tuple and type(x.mults) is tuple
+    assert x == MultiSpace(("a",), (1,)) and hash(x) == hash(MultiSpace(("a",), (1,)))
+
+
+def test_list_rows_are_stored_as_a_tuple():
+    x, y = new_space(["x"], [2]), new_space(["y"], [1])
+    f = BmsMorphism(x, y, [(0, 2)])
+    assert type(f.rows) is tuple
+    assert f == BmsMorphism(x, y, ((0, 2),)) and len({f, new_morphism(x, y, {"x": "y"})}) == 1
 
 
 def test_space_pickled_under_another_hash_seed_is_rehashed():

@@ -13,7 +13,6 @@ from bms.ints import INT_LIMIT
 from bms.omega import (
     INFINITY,
     ECSeq,
-    combine,
     const,
     countable_power_demo,
     ec_add,
@@ -29,12 +28,20 @@ from bms.omega import (
     pushout_demo,
     subgroup_membership,
 )
+from omega_helpers import combine
 
 ecseqs = st.builds(
     ECSeq,
     st.lists(st.integers(-4, 4), max_size=5).map(tuple),
     st.integers(-4, 4),
 )
+
+
+def test_list_prefix_is_stored_as_a_tuple():
+    a = ECSeq([1, 2], 0)
+    assert type(a.prefix) is tuple
+    assert a == ECSeq((1, 2), 0) and hash(a) == hash(ECSeq((1, 2), 0))
+    assert ECSeq([1, 0], 0).prefix == (1,)
 
 
 def test_canonical_form():

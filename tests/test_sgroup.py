@@ -20,7 +20,6 @@ from bms.sgroup import (
     compose_lhom,
     greatest_singular,
     hyperarch_witness,
-    hyperarch_witness_by_scan,
     ideal_from_zeroset,
     identity_lhom,
     is_maximal,
@@ -256,6 +255,16 @@ def test_hyperarch_witness_examples():
     assert hyperarch_witness(h.element((1, 0)), h.element((0, 5))) == 0
     with pytest.raises(SchemaError):
         hyperarch_witness(g.element((-1, 0)), u)
+
+
+def hyperarch_witness_by_scan(f, g):
+    """``hyperarch_witness`` by scanning n = 0, 1, ... until the meets agree:
+    the oracle of the closed form, for nonnegative f and g."""
+    assert min(f.values + g.values, default=0) >= 0
+    n = 0
+    while meet(n * f, g) != meet((n + 1) * f, g):
+        n += 1
+    return n
 
 
 @st.composite
