@@ -77,7 +77,7 @@ def spectrum_space(group: SpeckerGroup) -> MultiSpace:
     """The maximal-ideal space, points in base order, unit residues as mults."""
     u = group.unit()
     return new_space(
-        [IDEAL_PREFIX + m.point for m in maxspec(group)],
+        [IDEAL_PREFIX + l for m in maxspec(group) for l in m.zeroset],
         [residue(m, u) for m in maxspec(group)],
     )
 

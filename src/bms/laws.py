@@ -29,7 +29,7 @@ from .sgroup import SpeckerGroup, box_elements
 # ``run_laws`` sweeps at most four points.  Beyond that the universe cap is
 # not enough: (5, 2) has only 63 spaces but 1,280,982 morphisms, and (6, 1)
 # takes about 175 s on a 2-core Xeon, 150 s of it in ``check_stone_restriction``.
-_LABELS = ("p1", "p2", "p3", "p4")
+LAWS_MAX_POINTS = 4
 # Most spaces ``run_laws`` sweeps: sum of max_mult**n for n <= max_points.
 LAWS_UNIVERSE_CAP = 100
 
@@ -51,15 +51,18 @@ __all__ = [
     "check_hyperarch",
     "check_stone_restriction",
     "run_laws",
+    "LAWS_MAX_POINTS",
     "LAWS_UNIVERSE_CAP",
 ]
 
 
 def all_spaces(max_points: int, max_mult: int) -> list[MultiSpace]:
-    """Every multispace with up to the given points and multiplicities."""
+    """Every multispace with up to the given points and multiplicities,
+    labelled p1, p2, ... in order."""
     mults = range(1, max_mult + 1)
+    labels = tuple(f"p{i}" for i in range(1, max_points + 1))
     return [
-        new_space(_LABELS[:n], m)
+        new_space(labels[:n], m)
         for n in range(max_points + 1)
         for m in itertools.product(mults, repeat=n)
     ]
@@ -349,7 +352,7 @@ def check_singular_theory(groups: Sequence[SpeckerGroup]) -> list[str]:
         top = sgroup.greatest_singular(g)
         for m in sgroup.maxspec(g):
             if sgroup.residue(m, top) != 1:
-                failures.append(f"greatest singular has residue != 1 at {m!r}")
+                failures.append(f"greatest singular has residue != 1 at {set(m.zeroset)}")
     return failures
 
 
@@ -456,15 +459,15 @@ def run_laws(max_points: int = 2, max_mult: int = 3, seed: int = 0) -> dict:
 
     The bounds are checked before anything is enumerated: a negative point
     count or a multiplicity bound below 1 is a ``SchemaError``.  There are
-    two size refusals, each a ``SizeLimitError``: more than four points, and
-    more than ``LAWS_UNIVERSE_CAP`` spaces.
+    two size refusals, each a ``SizeLimitError``: more than
+    ``LAWS_MAX_POINTS`` points, and more than ``LAWS_UNIVERSE_CAP`` spaces.
     """
     if max_points < 0 or max_mult < 1:
         raise SchemaError(
             f"laws bounds need max_points >= 0 and max_mult >= 1, got {max_points} and {max_mult}"
         )
-    if max_points > len(_LABELS):
-        raise SizeLimitError(f"max_points {max_points} exceeds the limit of {len(_LABELS)} points")
+    if max_points > LAWS_MAX_POINTS:
+        raise SizeLimitError(f"max_points {max_points} exceeds the limit of {LAWS_MAX_POINTS} points")
     size = sum(max_mult**n for n in range(max_points + 1))
     if size > LAWS_UNIVERSE_CAP:
         raise SizeLimitError(

@@ -140,7 +140,8 @@ class BmsMorphism:
 
     ``rows[i] = (j, z)``: domain point i goes to codomain point j, and its
     multiplier z satisfies z * m_cod(j) = m_dom(i).  Calling the class
-    checks every row and stores rows given as another sequence as a tuple.
+    checks every row and stores the rows, and each row, given as another
+    sequence as a tuple.
     ``targets``, ``zetas`` and ``mapping`` read the rows back as labels.
     """
 
@@ -155,7 +156,11 @@ class BmsMorphism:
         if len(rows) != len(mults):
             raise SchemaError(f"{len(rows)} rows for {len(mults)} points")
         n = len(cod_mults)
-        for i, (j, z) in enumerate(rows):
+        listed = False
+        for i, row in enumerate(rows):
+            j, z = row
+            if type(row) is not tuple:
+                listed = True
             if type(j) is not int or type(z) is not int or not 0 <= j < n:
                 raise SchemaError(f"row {i}: {(j, z)!r} is not an (int index < {n}, int) pair")
             if z * cod_mults[j] != mults[i]:
@@ -163,6 +168,8 @@ class BmsMorphism:
                     f"row {i}: {z} * multiplicity {cod_mults[j]} of {self.cod.labels[j]!r} "
                     f"!= multiplicity {mults[i]} of {self.dom.labels[i]!r}"
                 )
+        if listed:
+            object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     @staticmethod
     def _trusted(dom: MultiSpace, cod: MultiSpace, rows: Rows) -> BmsMorphism:

@@ -2,25 +2,25 @@
 
 A group is carried as the integer-vector group over a multispace, with the
 multiplicity function as its distinguished unit.  Elements support pointwise
-group and lattice operations; maximal ideals correspond to points and
-closed-set ideals to subsets of points.  A unital l-homomorphism is a view
-of its dual point map: ``LHom`` holds one ``mspace.BmsMorphism`` from the
-codomain's base to the domain's, and composition, identities and the dual
-maps of ``duality`` are those of point maps; its groups are built from that
-map when asked for.  ``validate_lhom`` is the one decoder of the dense
-matrix form and checks its rows through the ``BmsMorphism`` constructor.
-``identity_lhom`` and ``compose_lhom`` take their point maps from
-``mspace.identity`` and ``mspace.compose``, which do not check the rows
-again: identity rows (i, 1) and composites of checked rows satisfy the
-divisibility rule by construction.
+group and lattice operations.  An ideal is a ``ClosedSetIdeal``, fixed by
+its zero set of points; the maximal ideals are the one-point zero sets.  A
+unital l-homomorphism is a view of its dual point map: ``LHom`` holds one
+``mspace.BmsMorphism`` from the codomain's base to the domain's, and
+composition, identities and the dual maps of ``duality`` are those of point
+maps; its groups are built from that map when asked for.  ``validate_lhom``
+is the one decoder of the dense matrix form and checks its rows through the
+``BmsMorphism`` constructor.  ``identity_lhom`` and ``compose_lhom`` take
+their point maps from ``mspace.identity`` and ``mspace.compose``, which do
+not check the rows again: identity rows (i, 1) and composites of checked
+rows satisfy the divisibility rule by construction.
 
 Element values are validated once, where they enter: calling
-``GroupElement`` (and so ``SpeckerGroup.element`` and ``element_from_dict``)
-checks the length and that every value is an int, not a bool, with
-|v| <= ``INT_LIMIT``.  Operations whose results stay in range by
-construction build elements through the private ``GroupElement._trusted``
-without checking again: ``meet``, ``join``, unary ``-`` and ``abs`` (the
-bound is symmetric) and ``box_elements`` (after checking its two bounds).
+``GroupElement`` (and so ``SpeckerGroup.element``) checks the length and
+that every value is an int, not a bool, with |v| <= ``INT_LIMIT``.
+Operations whose results stay in range by construction build elements
+through the private ``GroupElement._trusted`` without checking again:
+``meet``, ``join``, unary ``-`` and ``abs`` (the bound is symmetric) and
+``box_elements`` (after checking its two bounds).
 Only ``+``, ``-`` and scalar ``*`` can grow a value; each tests its result's
 extremes against the bound once and raises ``OverflowLimitError`` beyond it.
 No other module reaches ``_trusted``: ``tests/test_trusted_scope.py`` fails
@@ -42,7 +42,6 @@ __all__ = [
     "SpeckerGroup",
     "GroupElement",
     "box_elements",
-    "MaximalIdeal",
     "ClosedSetIdeal",
     "LHom",
     "meet",
@@ -68,7 +67,6 @@ __all__ = [
     "compose_lhom",
     "group_to_dict",
     "group_from_dict",
-    "element_from_dict",
     "lhom_to_dict",
     "lhom_from_dict",
 ]
@@ -242,30 +240,11 @@ def support(s: GroupElement) -> frozenset[str]:
 # -- ideals -------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MaximalIdeal:
-    """The ideal of elements vanishing at one base point."""
-
-    group: SpeckerGroup
-    point: str
-
-    def __post_init__(self) -> None:
-        self.group.base.index(self.point)
-
-    def contains(self, g: GroupElement) -> bool:
-        if g.group != self.group:
-            raise SchemaError("element belongs to a different group")
-        return g.value(self.point) == 0
-
-    def __repr__(self) -> str:
-        return f"MaximalIdeal(at={self.point!r})"
-
-
-@dataclass(frozen=True)
 class ClosedSetIdeal:
     """The ideal of elements vanishing on a fixed set of base points.
 
     The empty zero set is the improper ideal (everything); the full point
-    set is the zero ideal.
+    set is the zero ideal; the one-point zero sets are the maximal ideals.
     """
 
     group: SpeckerGroup
@@ -286,23 +265,25 @@ class ClosedSetIdeal:
         return True
 
 
-def maxspec(group: SpeckerGroup) -> tuple[MaximalIdeal, ...]:
-    """All maximal ideals, in canonical base-point order."""
-    return tuple(MaximalIdeal(group, l) for l in group.base.labels)
+def maxspec(group: SpeckerGroup) -> tuple[ClosedSetIdeal, ...]:
+    """All maximal ideals, the one-point zero sets, in base-point order."""
+    return tuple(ClosedSetIdeal(group, frozenset((l,))) for l in group.base.labels)
 
 
-def residue(m: MaximalIdeal, g: GroupElement) -> int:
+def residue(m: ClosedSetIdeal, g: GroupElement) -> int:
     """Image of g under the unique surjection onto the integers with kernel m.
 
-    Computed by evaluation at the ideal's point; agrees with the membership
-    scan of ``residue_by_ideal_scan``.
+    Computed by evaluation at the ideal's one zero; agrees with the
+    membership scan of ``residue_by_ideal_scan``.
     """
     if g.group != m.group:
         raise SchemaError("element belongs to a different group")
-    return g.value(m.point)
+    if len(m._zero_indices) != 1:
+        raise SchemaError(f"residue is only defined at a one-point zero set, got {sorted(m.zeroset)}")
+    return g.values[m._zero_indices[0]]
 
 
-def residue_by_ideal_scan(m: MaximalIdeal, g: GroupElement) -> int:
+def residue_by_ideal_scan(m: ClosedSetIdeal, g: GroupElement) -> int:
     """The unique j with g - j * s in m, s the greatest singular element.
 
     Scans j over [-M, M] with M = max|g| * max(unit); a sound finite bound.
@@ -319,7 +300,7 @@ def residue_by_ideal_scan(m: MaximalIdeal, g: GroupElement) -> int:
     return hits[0]
 
 
-def residues(g: GroupElement) -> dict[MaximalIdeal, int]:
+def residues(g: GroupElement) -> dict[ClosedSetIdeal, int]:
     """The residue of g at every maximal ideal (canonical order).
 
     The residue is 0 exactly at the ideals containing g.
@@ -493,14 +474,6 @@ def group_from_dict(data: object) -> SpeckerGroup:
     if not isinstance(data, dict) or "space" not in data:
         raise SchemaError("group JSON must be an object with a 'space' field")
     return SpeckerGroup(space_from_dict(data["space"]))
-
-
-def element_from_dict(data: object) -> GroupElement:
-    if not isinstance(data, dict) or not {"group", "values"} <= set(data):
-        raise SchemaError("element JSON needs 'group' and 'values' fields")
-    if not isinstance(data["values"], list):
-        raise SchemaError("'values' must be an array of integers")
-    return GroupElement(group_from_dict(data["group"]), data["values"])
 
 
 def lhom_to_dict(h: LHom) -> dict:

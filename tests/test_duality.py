@@ -24,10 +24,10 @@ from bms.laws import (
 )
 from bms.mspace import compose, enumerate_homs, identity, is_isomorphism, new_morphism, new_space
 from bms.sgroup import (
-    MaximalIdeal,
     SpeckerGroup,
     apply_lhom,
     compose_lhom,
+    ideal_from_zeroset,
     identity_lhom,
     validate_lhom,
 )
@@ -144,7 +144,10 @@ def test_dual_hom_by_definition():
         for gamma in enumerate_homs(x, y):
             psi = dual_hom(gamma)
             assert psi.point_map is gamma and dual_point_map(psi) is gamma
-            ideals = [(p, MaximalIdeal(gx, p), MaximalIdeal(gy, gamma(p))) for p in x.labels]
+            ideals = [
+                (p, ideal_from_zeroset(gx, [p]), ideal_from_zeroset(gy, [gamma(p)]))
+                for p in x.labels
+            ]
             for f in box_elements(function_group(gamma.cod), -2, 2):
                 image = apply_lhom(psi, f)
                 for p, at_p, at_image in ideals:

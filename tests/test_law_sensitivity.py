@@ -68,6 +68,10 @@ def _compose_rows_dropping_second_multiplier(first, second):
     return tuple([(second[j][0], z) for j, z in first])
 
 
+def _compose_rows_with_row_0s_multiplier(first, second):
+    return tuple([(second[j][0], first[0][1] * second[j][1]) for j, _ in first])
+
+
 _coproduct = limits.coproduct
 _group_product = limits.group_product
 _group_coproduct = limits.group_coproduct
@@ -109,6 +113,13 @@ MORPHISM_FAULTS = [
         [(mspace, "compose_rows"), (limits, "compose_rows"), (duality, "compose_rows")],
         _compose_rows_dropping_second_multiplier,
         (698, 204, 54, 0, 596),
+    ),
+    # Not row by row: a one-point domain cannot see it.
+    (
+        "compose_rows reuses the multiplier of row 0",
+        [(mspace, "compose_rows"), (limits, "compose_rows"), (duality, "compose_rows")],
+        _compose_rows_with_row_0s_multiplier,
+        (5298, 140, 0, 0, 698),
     ),
     (
         "is_isomorphism always false",

@@ -8,6 +8,22 @@ from bms.laws import all_spaces, representative_spaces
 from bms.mspace import compose, enumerate_homs, hom_factors, identity, new_space
 
 
+def test_all_spaces_above_four_points():
+    spaces = all_spaces(5, 1)
+    assert len(spaces) == 6
+    assert spaces[-1].labels == ("p1", "p2", "p3", "p4", "p5")
+
+
+def test_all_spaces_up_to_four_points_keep_their_labels_and_order():
+    labels = ("p1", "p2", "p3", "p4")
+    expected = [
+        new_space(labels[:n], m)
+        for n in range(5)
+        for m in itertools.product(range(1, 3), repeat=n)
+    ]
+    assert all_spaces(4, 2) == expected
+
+
 @pytest.mark.parametrize("bounds", [(3, 4), (4, 1)])
 def test_inverse_exists_matches_full_scan(bounds):
     """The point test against the full scan: f has a two-sided

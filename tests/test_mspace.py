@@ -353,6 +353,14 @@ def test_list_rows_are_stored_as_a_tuple():
     assert f == BmsMorphism(x, y, ((0, 2),)) and len({f, new_morphism(x, y, {"x": "y"})}) == 1
 
 
+@pytest.mark.parametrize("rows", [[[0, 2]], ([0, 2],)], ids=["list of lists", "tuple of lists"])
+def test_list_rows_inside_are_stored_as_tuples(rows):
+    x, y = new_space(["x"], [2]), new_space(["y"], [1])
+    f = BmsMorphism(x, y, rows)
+    assert type(f.rows) is tuple and type(f.rows[0]) is tuple
+    assert f == BmsMorphism(x, y, ((0, 2),)) and len({f, new_morphism(x, y, {"x": "y"})}) == 1
+
+
 def test_space_pickled_under_another_hash_seed_is_rehashed():
     env = dict(os.environ, PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
     env["PYTHONPATH"] = os.pathsep.join(sys.path)

@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 from bms.duality import dual_point_map, enumerate_lhoms
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT
-from bms.laws import box_elements
+from bms.laws import all_groups, box_elements
 from bms.mspace import BmsMorphism, new_space
 from bms.sgroup import (
     GroupElement,
     LHom,
-    MaximalIdeal,
     SpeckerGroup,
     apply_lhom,
     canonical_generator,
@@ -194,13 +193,34 @@ def test_residues_vector():
         assert (r == 0) == m.contains(f)
 
 
+def test_maxspec_is_the_maximal_closed_set_ideals():
+    for g in all_groups(3, 2):
+        labels = g.base.labels
+        subsets = (c for r in range(len(labels) + 1) for c in itertools.combinations(labels, r))
+        maximal = {ideal for z in subsets if is_maximal(ideal := ideal_from_zeroset(g, z))}
+        assert set(maxspec(g)) == maximal
+
+
+def test_residues_are_indexed_by_one_point_zero_sets():
+    g = SpeckerGroup(new_space(["a", "b"], [1, 2]))
+    r = residues(g.element((5, -3)))
+    assert r[ideal_from_zeroset(g, ["a"])] == 5 and r[ideal_from_zeroset(g, ["b"])] == -3
+
+
+@pytest.mark.parametrize("zeroset", [[], ["a", "b"]])
+def test_residue_needs_a_one_point_zero_set(zeroset):
+    g = SpeckerGroup(new_space(["a", "b"], [1, 2]))
+    with pytest.raises(SchemaError):
+        residue(ideal_from_zeroset(g, zeroset), g.unit())
+
+
 def test_zeroset_from_ideal_examples():
     g = grp(1, 2)
     assert zeroset_from_ideal(g, [g.unit()]).zeroset == frozenset()
     assert zeroset_from_ideal(g, []).zeroset == {"p1", "p2"}
     ideal = zeroset_from_ideal(g, [g.element((0, 3))])
     assert ideal.zeroset == {"p1"}
-    m = MaximalIdeal(g, "p1")
+    m = ideal_from_zeroset(g, ["p1"])
     for vals in itertools.product(range(-2, 3), repeat=2):
         f = g.element(vals)
         assert ideal.contains(f) == m.contains(f)
