@@ -2,28 +2,25 @@
 
 One direction sends a space to its group of integer vectors; the other sends
 a group to its maximal-ideal space, with multiplicities read off as unit
-residues.  Both round trips are witnessed by explicit isomorphisms, and the
-hom-set bijection can be verified exhaustively on finite objects.
+residues.  Both round trips are witnessed by the isomorphisms themselves,
+the unit eta and the counit epsilon, and the hom-set bijection can be
+verified exhaustively on finite objects.
 
 An ``LHom`` is a view of its dual point map, so ``dual_hom`` wraps a point
 map and ``dual_point_map`` unwraps it, neither checking anything again.
 ``spectrum_map`` carries the same rows onto the maximal-ideal spaces, and
-the counit isomorphism is the dual of the unit's, legs swapped.
+the counit at a group is the dual of the unit's inverse at its base.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Union
 
-from .errors import SchemaError
 from .mspace import (
     BmsMorphism,
     MultiSpace,
     compose,
-    compose_rows,
     enumerate_homs,
     identity,
     identity_rows,
@@ -40,7 +37,6 @@ from .sgroup import (
 )
 
 __all__ = [
-    "NaturalIsoWitness",
     "function_group",
     "dual_hom",
     "spectrum_space",
@@ -96,45 +92,28 @@ def dual_point_map(psi: LHom) -> BmsMorphism:
     return psi.point_map
 
 
-@dataclass(frozen=True)
-class NaturalIsoWitness:
-    """A pair of mutually inverse morphisms witnessing a natural isomorphism."""
-
-    forward: Union[BmsMorphism, LHom]
-    backward: Union[BmsMorphism, LHom]
-
-    def __post_init__(self) -> None:
-        f, b = self.forward.rows, self.backward.rows
-        same_objects = (self.forward.cod, self.backward.cod) == (self.backward.dom, self.forward.dom)
-        if not same_objects or not compose_rows(f, b) == compose_rows(b, f) == identity_rows(len(f)):
-            raise SchemaError("forward and backward morphisms are not mutually inverse")
+@functools.lru_cache(maxsize=None)
+def unit_iso(space: MultiSpace) -> BmsMorphism:
+    """The unit eta, sending each point to its vanishing ideal."""
+    return BmsMorphism(space, spectrum_space(function_group(space)), identity_rows(len(space)))
 
 
 @functools.lru_cache(maxsize=None)
-def unit_iso(space: MultiSpace) -> NaturalIsoWitness:
-    """The isomorphism sending each point to its vanishing ideal."""
-    spec = spectrum_space(function_group(space))
-    eye = identity_rows(len(space))
-    return NaturalIsoWitness(BmsMorphism(space, spec, eye), BmsMorphism(spec, space, eye))
+def counit_iso(group: SpeckerGroup) -> LHom:
+    """The counit epsilon, sending each element to its residue function.
 
-
-@functools.lru_cache(maxsize=None)
-def counit_iso(group: SpeckerGroup) -> NaturalIsoWitness:
-    """The isomorphism sending each element to its residue function.
-
-    Its forward leg, group -> function_group(spectrum_space(group)), is the
-    dual of the unit's backward leg, and its backward leg that of the
-    unit's forward leg.
+    It goes from group to function_group(spectrum_space(group)), as the dual
+    of the inverse of the unit at the base, spectrum_space(group) -> base.
     """
-    unit = unit_iso(group.base)
-    return NaturalIsoWitness(LHom(unit.backward), LHom(unit.forward))
+    base = group.base
+    return LHom(BmsMorphism(spectrum_space(group), base, identity_rows(len(base))))
 
 
 def triangle_identities_space(space: MultiSpace) -> bool:
     """Check both composites of the first triangle identity at a space."""
     grp = function_group(space)
-    eps = counit_iso(grp).forward                 # grp -> SB(grp)
-    s_eta = dual_hom(unit_iso(space).forward)     # SB(grp) -> grp
+    eps = counit_iso(grp)              # grp -> SB(grp)
+    s_eta = dual_hom(unit_iso(space))  # SB(grp) -> grp
     return (
         compose_lhom(eps, s_eta) == identity_lhom(grp)
         and compose_lhom(s_eta, eps) == identity_lhom(s_eta.dom)
@@ -144,8 +123,8 @@ def triangle_identities_space(space: MultiSpace) -> bool:
 def triangle_identities_group(group: SpeckerGroup) -> bool:
     """Check both composites of the second triangle identity at a group."""
     spec = spectrum_space(group)
-    eta = unit_iso(spec).forward                  # spec -> BS(spec)
-    b_eps = spectrum_map(counit_iso(group).forward)  # BS(spec) -> spec
+    eta = unit_iso(spec)                     # spec -> BS(spec)
+    b_eps = spectrum_map(counit_iso(group))  # BS(spec) -> spec
     return (
         compose(eta, b_eps) == identity(spec)
         and compose(b_eps, eta) == identity(eta.cod)

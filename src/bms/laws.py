@@ -155,11 +155,11 @@ def check_round_trip(spaces: Sequence[MultiSpace]) -> list[str]:
     triangle identities hold (on the space and on its group)."""
     failures = []
     for x in spaces:
-        witness = duality.unit_iso(x)
+        eta = duality.unit_iso(x)
         back = duality.spectrum_space(duality.function_group(x))
-        if not is_isomorphism(witness.forward) or witness.forward.cod != back:
+        if not is_isomorphism(eta) or eta.cod != back:
             failures.append(f"round trip fails for {x!r}")
-        if witness.forward.zetas != (1,) * len(x):
+        if eta.zetas != (1,) * len(x):
             failures.append(f"unit witness does not preserve multiplicities on {x!r}")
         if not duality.triangle_identities_space(x):
             failures.append(f"space triangle identity fails for {x!r}")
@@ -181,10 +181,10 @@ def check_naturality(spaces: Sequence[MultiSpace]) -> list[str]:
         homs = enumerate_homs(x, y)
         if not homs:
             continue
-        eta_x, eta_y = duality.unit_iso(x).forward, duality.unit_iso(y).forward
+        eta_x, eta_y = duality.unit_iso(x), duality.unit_iso(y)
         # every psi = dual_hom(gamma) goes from function_group(y) to function_group(x)
-        eps_x = duality.counit_iso(duality.function_group(x)).forward
-        eps_y = duality.counit_iso(duality.function_group(y)).forward
+        eps_x = duality.counit_iso(duality.function_group(x))
+        eps_y = duality.counit_iso(duality.function_group(y))
         for gamma in homs:
             psi = duality.dual_hom(gamma)
             spec = duality.spectrum_map(psi)

@@ -12,17 +12,17 @@ point's candidate rows, the dividing targets with multiplier m // n, and
 every hom-set is counted, enumerated or streamed from these factors.
 Calling ``BmsMorphism`` checks every row, and so do
 ``new_morphism`` (label maps), ``sgroup.validate_lhom`` (dense matrices) and
-``duality.spectrum_map`` and ``duality.unit_iso``, whose rows are valid only
-if the spectrum's residues are right.  Within this module, rows that are
-valid by construction build the morphism through the private
-``BmsMorphism._trusted`` without checking again: ``enumerate_homs`` (one
-candidate row of each ``hom_factors`` factor), ``compose``
-(z * z' * m(l) = z * m(j) = m(i)) and ``identity``.  An ``sgroup.LHom`` is
-a view of its dual point map, so it is checked or trusted as that map is.
-The legs of ``limits.limit`` are the one use outside this module, and
-``tests/test_trusted_scope.py`` fails on any other.  ``compose_rows``
-composes rows.  Every space is built by the checked ``MultiSpace``
-constructor.
+``duality.spectrum_map``, ``duality.unit_iso`` and ``duality.counit_iso``,
+whose rows are valid only if the spectrum's residues are right.  Within
+this module, rows that are valid by construction build the morphism
+through the private ``BmsMorphism._trusted`` without checking again:
+``enumerate_homs`` (one candidate row of each ``hom_factors`` factor),
+``compose`` (z * z' * m(l) = z * m(j) = m(i)) and ``identity``.  An
+``sgroup.LHom`` is a view of its dual point map, so it is checked or
+trusted as that map is.  The legs of ``limits.limit`` are the one use
+outside this module, and ``tests/test_trusted_scope.py`` fails on any
+other.  ``compose_rows`` composes rows.  Every space is built by the
+checked ``MultiSpace`` constructor.
 """
 
 from __future__ import annotations
@@ -158,7 +158,10 @@ class BmsMorphism:
         n = len(cod_mults)
         listed = False
         for i, row in enumerate(rows):
-            j, z = row
+            try:
+                j, z = row
+            except (TypeError, ValueError):
+                raise SchemaError(f"row {i}: {row!r} is not an (int index < {n}, int) pair") from None
             if type(row) is not tuple:
                 listed = True
             if type(j) is not int or type(z) is not int or not 0 <= j < n:

@@ -48,13 +48,6 @@ PUSHOUT_BOUND_LIMIT = 1024
 
 
 class _Infinity:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "inf"
 

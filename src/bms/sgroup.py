@@ -245,6 +245,7 @@ class ClosedSetIdeal:
 
     The empty zero set is the improper ideal (everything); the full point
     set is the zero ideal; the one-point zero sets are the maximal ideals.
+    A zero set given as another iterable is stored as a frozenset.
     """
 
     group: SpeckerGroup
@@ -252,6 +253,8 @@ class ClosedSetIdeal:
     _zero_indices: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if type(self.zeroset) is not frozenset:
+            object.__setattr__(self, "zeroset", frozenset(self.zeroset))
         indices = tuple(self.group.base.index(lab) for lab in self.zeroset)
         object.__setattr__(self, "_zero_indices", indices)
 
@@ -276,20 +279,25 @@ def residue(m: ClosedSetIdeal, g: GroupElement) -> int:
     Computed by evaluation at the ideal's one zero; agrees with the
     membership scan of ``residue_by_ideal_scan``.
     """
+    return g.values[_one_zero_index(m, g)]
+
+
+def _one_zero_index(m: ClosedSetIdeal, g: GroupElement) -> int:
+    """The index of m's one zero, refusing g from another group or m not maximal."""
     if g.group != m.group:
         raise SchemaError("element belongs to a different group")
     if len(m._zero_indices) != 1:
         raise SchemaError(f"residue is only defined at a one-point zero set, got {sorted(m.zeroset)}")
-    return g.values[m._zero_indices[0]]
+    return m._zero_indices[0]
 
 
 def residue_by_ideal_scan(m: ClosedSetIdeal, g: GroupElement) -> int:
     """The unique j with g - j * s in m, s the greatest singular element.
 
     Scans j over [-M, M] with M = max|g| * max(unit); a sound finite bound.
+    Refuses what ``residue`` refuses, before scanning.
     """
-    if g.group != m.group:
-        raise SchemaError("element belongs to a different group")
+    _one_zero_index(m, g)
     s = greatest_singular(g.group)
     gmax = max((abs(v) for v in g.values), default=0)
     umax = max(g.group.base.mults, default=1)
@@ -309,7 +317,7 @@ def residues(g: GroupElement) -> dict[ClosedSetIdeal, int]:
 
 
 def ideal_from_zeroset(group: SpeckerGroup, zeroset: Iterable[str]) -> ClosedSetIdeal:
-    return ClosedSetIdeal(group, frozenset(zeroset))
+    return ClosedSetIdeal(group, zeroset)
 
 
 def zeroset_from_ideal(group: SpeckerGroup, generators: Sequence[GroupElement]) -> ClosedSetIdeal:

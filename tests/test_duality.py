@@ -16,14 +16,25 @@ from bms.duality import (
     unit_iso,
 )
 from bms.laws import (
+    all_groups,
     all_spaces,
     box_elements,
     check_functoriality,
     check_naturality,
     check_stone_restriction,
 )
-from bms.mspace import compose, enumerate_homs, identity, is_isomorphism, new_morphism, new_space
+from bms.mspace import (
+    BmsMorphism,
+    compose,
+    enumerate_homs,
+    identity,
+    identity_rows,
+    is_isomorphism,
+    new_morphism,
+    new_space,
+)
 from bms.sgroup import (
+    LHom,
     SpeckerGroup,
     apply_lhom,
     compose_lhom,
@@ -75,26 +86,44 @@ def test_spectrum_map_matches_original_up_to_unit_relabel():
     y = new_space(["y"], [2])
     for gamma in enumerate_homs(x, y):
         lifted = spectrum_map(dual_hom(gamma))
-        square = compose(gamma, unit_iso(y).forward)
-        assert compose(unit_iso(x).forward, lifted) == square
+        square = compose(gamma, unit_iso(y))
+        assert compose(unit_iso(x), lifted) == square
         assert dual_point_map(dual_hom(gamma)) == gamma
 
 
 def test_unit_iso_preserves_multiplicities():
-    w = unit_iso(AB)
-    assert is_isomorphism(w.forward)
-    assert w.forward.cod.mults == AB.mults
-    assert unit_iso(EMPTY).forward == identity(EMPTY)
+    eta = unit_iso(AB)
+    assert is_isomorphism(eta)
+    assert eta.cod.mults == AB.mults
+    assert unit_iso(EMPTY) == identity(EMPTY)
 
 
 def test_counit_iso_is_permutation_with_unit_zetas():
     g = function_group(new_space(["a", "b", "c"], [1, 2, 3]))
-    w = counit_iso(g)
+    eps = counit_iso(g)
     n = len(g.base)
-    assert w.forward.matrix == tuple(
+    assert eps.matrix == tuple(
         tuple(1 if i == j else 0 for j in range(n)) for i in range(n)
     )
-    assert compose_lhom(w.forward, w.backward) == identity_lhom(g)
+    assert compose_lhom(eps, dual_hom(unit_iso(g.base))) == identity_lhom(g)
+
+
+def test_unit_iso_is_the_identity_rows_onto_the_spectrum():
+    for x in all_spaces(3, 3):
+        eta = unit_iso(x)
+        assert type(eta) is BmsMorphism
+        assert (eta.dom, eta.cod) == (x, spectrum_space(function_group(x)))
+        assert eta.rows == identity_rows(len(x)) and is_isomorphism(eta)
+
+
+def test_counit_iso_is_inverse_to_the_dual_of_the_unit():
+    for g in all_groups(3, 3):
+        eps = counit_iso(g)
+        assert type(eps) is LHom
+        assert (eps.dom, eps.cod) == (g, function_group(spectrum_space(g)))
+        s_eta = dual_hom(unit_iso(g.base))
+        assert compose_lhom(eps, s_eta) == identity_lhom(g)
+        assert compose_lhom(s_eta, eps) == identity_lhom(eps.cod)
 
 
 @pytest.mark.parametrize("space", [EMPTY, SINGLE, AB, new_space(["x"], [4])])

@@ -110,14 +110,14 @@ MORPHISM_FAULTS = [
     ),
     (
         "compose_rows drops the second multiplier",
-        [(mspace, "compose_rows"), (limits, "compose_rows"), (duality, "compose_rows")],
+        [(mspace, "compose_rows"), (limits, "compose_rows")],
         _compose_rows_dropping_second_multiplier,
         (698, 204, 54, 0, 596),
     ),
     # Not row by row: a one-point domain cannot see it.
     (
         "compose_rows reuses the multiplier of row 0",
-        [(mspace, "compose_rows"), (limits, "compose_rows"), (duality, "compose_rows")],
+        [(mspace, "compose_rows"), (limits, "compose_rows")],
         _compose_rows_with_row_0s_multiplier,
         (5298, 140, 0, 0, 698),
     ),

@@ -361,6 +361,13 @@ def test_list_rows_inside_are_stored_as_tuples(rows):
     assert f == BmsMorphism(x, y, ((0, 2),)) and len({f, new_morphism(x, y, {"x": "y"})}) == 1
 
 
+@pytest.mark.parametrize("row", [(0,), (0, 2, 9), 5], ids=["one entry", "three entries", "an int"])
+def test_a_row_that_is_not_a_pair_is_schema_error(row):
+    x, y = new_space(["x"], [2]), new_space(["y"], [1])
+    with pytest.raises(SchemaError, match=r"row 0: .* is not an \(int index < 1, int\) pair"):
+        BmsMorphism(x, y, [row])
+
+
 def test_space_pickled_under_another_hash_seed_is_rehashed():
     env = dict(os.environ, PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
     env["PYTHONPATH"] = os.pathsep.join(sys.path)

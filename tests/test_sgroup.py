@@ -11,6 +11,7 @@ from bms.ints import INT_LIMIT
 from bms.laws import all_groups, box_elements
 from bms.mspace import BmsMorphism, new_space
 from bms.sgroup import (
+    ClosedSetIdeal,
     GroupElement,
     LHom,
     SpeckerGroup,
@@ -212,6 +213,22 @@ def test_residue_needs_a_one_point_zero_set(zeroset):
     g = SpeckerGroup(new_space(["a", "b"], [1, 2]))
     with pytest.raises(SchemaError):
         residue(ideal_from_zeroset(g, zeroset), g.unit())
+
+
+@pytest.mark.parametrize("zeroset", [[], ["a", "b"]])
+def test_residue_oracle_needs_a_one_point_zero_set(zeroset):
+    g = SpeckerGroup(new_space(["a", "b"], [3, 3]))
+    with pytest.raises(SchemaError, match="one-point zero set"):
+        residue_by_ideal_scan(ideal_from_zeroset(g, zeroset), g.element((3, 3)))
+
+
+def test_zero_set_given_as_a_list_is_stored_as_a_frozenset():
+    g = SpeckerGroup(new_space(["a", "b"], [1, 2]))
+    ideal = ClosedSetIdeal(g, ["a"])
+    assert type(ideal.zeroset) is frozenset
+    assert hash(ideal) == hash(ideal_from_zeroset(g, ["a"])) and ideal == ideal_from_zeroset(g, ["a"])
+    assert residues(g.unit())[ideal] == 1
+    assert residue(ClosedSetIdeal(g, ["a", "a"]), g.unit()) == 1
 
 
 def test_zeroset_from_ideal_examples():
