@@ -15,13 +15,13 @@ the counit at a group is the dual of the unit's inverse at its base.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .mspace import (
     BmsMorphism,
     MultiSpace,
     compose,
     enumerate_homs,
+    homs_from_factors,
     identity,
     identity_rows,
     new_space,
@@ -30,10 +30,10 @@ from .sgroup import (
     LHom,
     SpeckerGroup,
     compose_lhom,
+    decode_matrix_row,
     identity_lhom,
     maxspec,
     residue,
-    validate_lhom,
 )
 
 __all__ = [
@@ -136,19 +136,24 @@ def enumerate_lhoms(dom: SpeckerGroup, cod: SpeckerGroup) -> list[LHom]:
 
     For each codomain point only entries k with k * unit_dom(v) equal to the
     point's unit are tried, which is sound and complete for the row-shape
-    invariants; ``validate_lhom`` decodes each matrix.  Deterministic order.
+    invariants.  Each dense candidate row is decoded once, by the decoder of
+    ``validate_lhom``, and ``mspace.homs_from_factors`` checks each decoded
+    row once against the units and builds every matrix of the row product
+    from the checked rows.  So the result is ``validate_lhom`` of each dense
+    matrix of the product, in product order, without decoding or checking a
+    row again per matrix.
     """
-    row_choices = []
     ncols = len(dom.base)
-    for uw in cod.base.mults:
-        choices = []
+    factors = []
+    for r, uw in enumerate(cod.base.mults):
+        factor = []
         for c, uv in enumerate(dom.base.mults):
             if uw % uv == 0:
                 row = [0] * ncols
                 row[c] = uw // uv
-                choices.append(tuple(row))
-        row_choices.append(choices)
-    return [validate_lhom(rows, dom, cod) for rows in itertools.product(*row_choices)]
+                factor.append(decode_matrix_row(r, row, ncols))
+        factors.append(factor)
+    return [LHom(m) for m in homs_from_factors(cod.base, dom.base, factors)]
 
 
 def hom_bijection_report(x: MultiSpace, y: MultiSpace) -> dict:
@@ -164,10 +169,10 @@ def hom_bijection_report(x: MultiSpace, y: MultiSpace) -> dict:
     failures = []
     if len(image_set) != len(images):
         failures.append("duality is not injective on point maps")
-    missing = [h for h in lhoms if h not in image_set]
+    missing = lhom_set - image_set
     if missing:
         failures.append(f"{len(missing)} matrices are not images of point maps")
-    extra = [h for h in images if h not in lhom_set]
+    extra = image_set - lhom_set
     if extra:
         failures.append(f"{len(extra)} images fall outside the enumerated matrices")
     return {

@@ -91,11 +91,15 @@ def _inverse_exists(rows: Rows, back: list[list[tuple[int, int]]]) -> bool:
     """Whether f: X -> Y with ``rows`` has a two-sided inverse g, where
     ``back`` is ``hom_factors`` of Hom(Y, X): at every point y, some candidate
     row (i, z) of g composes with f to (y, 1), and each x that f sends to y
-    with multiplier w composes with it to (x, 1)."""
+    with multiplier w composes with it to (x, 1).  f's rows are grouped by
+    target once, before the candidates are tried."""
+    preimages: list[list[tuple[int, int]]] = [[] for _ in back]
+    for x, (t, w) in enumerate(rows):
+        preimages[t].append((x, w))
     return all(
         any(
             (rows[i][0], z * rows[i][1]) == (y, 1)
-            and all((i, w * z) == (x, 1) for x, (t, w) in enumerate(rows) if t == y)
+            and all((i, w * z) == (x, 1) for x, w in preimages[y])
             for i, z in candidates
         )
         for y, candidates in enumerate(back)
@@ -211,8 +215,11 @@ def check_functoriality(spaces: Sequence[MultiSpace], sample: int = 0, seed: int
 
     For the element s of G(Z) with values 1..|Z|, built once per space, the
     dual of g sends s to zeta_g * (s o g), read off g's rows, and the dual of
-    f;g sends s where the dual of f sends that image.  With ``sample`` > 0,
-    only a seeded random subset of that many pairs is checked."""
+    f;g sends s where the dual of f sends that image.  The image of s under
+    the dual of g, and its zeta_g * (s o g) test, depend on g alone and are
+    computed once per g; a failed test is still reported at every pair.
+    With ``sample`` > 0, only a seeded random subset of that many pairs is
+    checked."""
     failures = []
     homs = {(x, y): enumerate_homs(x, y) for x, y in itertools.product(spaces, repeat=2)}
     # The seeded sample draws from this list, so it keeps the order of the
@@ -224,10 +231,15 @@ def check_functoriality(spaces: Sequence[MultiSpace], sample: int = 0, seed: int
         rng = random.Random(seed)
         pairs = rng.sample(pairs, sample)
     seps = {z: duality.function_group(z).element(range(1, len(z) + 1)) for z in spaces}
+    # g -> (s, the image of s under the dual of g, whether it is zeta_g * (s o g))
+    images = {}
     for f, g in pairs:
-        sep = seps[g.cod]
-        inner = sgroup.apply_lhom(duality.dual_hom(g), sep)
-        if inner.values != tuple([k * sep.values[j] for j, k in g.rows]):
+        if g not in images:
+            sep = seps[g.cod]
+            inner = sgroup.apply_lhom(duality.dual_hom(g), sep)
+            images[g] = sep, inner, inner.values == tuple([k * sep.values[j] for j, k in g.rows])
+        sep, inner, scaled = images[g]
+        if not scaled:
             failures.append(f"dual hom is not zeta * (s o g) at {g!r}")
         outer = sgroup.apply_lhom(duality.dual_hom(f), inner)
         if sgroup.apply_lhom(duality.dual_hom(compose(f, g)), sep) != outer:

@@ -8,11 +8,15 @@ unital l-homomorphism is a view of its dual point map: ``LHom`` holds one
 ``mspace.BmsMorphism`` from the codomain's base to the domain's, and
 composition, identities and the dual maps of ``duality`` are those of point
 maps; its groups are built from that map when asked for.  ``validate_lhom``
-is the one decoder of the dense matrix form and checks its rows through the
-``BmsMorphism`` constructor.  ``identity_lhom`` and ``compose_lhom`` take
-their point maps from ``mspace.identity`` and ``mspace.compose``, which do
-not check the rows again: identity rows (i, 1) and composites of checked
-rows satisfy the divisibility rule by construction.
+is the one decoder of the dense matrix form: it decodes each row with
+``decode_matrix_row`` and checks the rows through the ``BmsMorphism``
+constructor.  ``duality.enumerate_lhoms`` decodes its candidate rows with
+the same ``decode_matrix_row``, once each, and checks them once each
+through ``mspace.homs_from_factors``.  ``identity_lhom`` and
+``compose_lhom`` take their point maps from ``mspace.identity`` and
+``mspace.compose``, which do not check the rows again: identity rows (i, 1)
+and composites of checked rows satisfy the divisibility rule by
+construction.
 
 Element values are validated once, where they enter: calling
 ``GroupElement`` (and so ``SpeckerGroup.element``) checks the length and
@@ -61,6 +65,7 @@ __all__ = [
     "is_maximal",
     "is_maximal_by_criterion",
     "hyperarch_witness",
+    "decode_matrix_row",
     "validate_lhom",
     "apply_lhom",
     "identity_lhom",
@@ -245,7 +250,8 @@ class ClosedSetIdeal:
 
     The empty zero set is the improper ideal (everything); the full point
     set is the zero ideal; the one-point zero sets are the maximal ideals.
-    A zero set given as another iterable is stored as a frozenset.
+    A zero set given as another iterable is stored as a frozenset; a string
+    is refused, not split into one-character labels.
     """
 
     group: SpeckerGroup
@@ -254,7 +260,16 @@ class ClosedSetIdeal:
 
     def __post_init__(self) -> None:
         if type(self.zeroset) is not frozenset:
-            object.__setattr__(self, "zeroset", frozenset(self.zeroset))
+            if isinstance(self.zeroset, str):
+                raise SchemaError(
+                    f"zero set {self.zeroset!r} is a string; pass a list of point labels"
+                )
+            try:
+                object.__setattr__(self, "zeroset", frozenset(self.zeroset))
+            except TypeError:
+                raise SchemaError(
+                    f"zero set must be an iterable of point labels, got {self.zeroset!r}"
+                ) from None
         indices = tuple(self.group.base.index(lab) for lab in self.zeroset)
         object.__setattr__(self, "_zero_indices", indices)
 
@@ -426,29 +441,34 @@ class LHom:
         return f"LHom({len(self.cod.base)}x{len(self.dom.base)})"
 
 
+def decode_matrix_row(r: int, row: Sequence[int], ncols: int) -> tuple[int, int]:
+    """Row r of a dense matrix as its (column, k) pair: the row needs checked
+    entries, ``ncols`` of them, and exactly one positive entry, k at the
+    column.  Whether k keeps the unit is the point map's check."""
+    # checked() runs only on an entry that is not an int in range, to raise
+    row = [
+        v if type(v) is int and -INT_LIMIT <= v <= INT_LIMIT else checked(v, "matrix entry")
+        for v in row
+    ]
+    if len(row) != ncols:
+        raise SchemaError(f"row {r} has {len(row)} entries, expected {ncols}")
+    positives = [(c, k) for c, k in enumerate(row) if k != 0]
+    if any(k < 0 for _, k in positives):
+        raise SchemaError(f"row {r} has a negative entry")
+    if len(positives) != 1:
+        raise SchemaError(f"row {r} has {len(positives)} positive entries, expected exactly 1")
+    return positives[0]
+
+
 def validate_lhom(
     matrix: Sequence[Sequence[int]], dom: SpeckerGroup, cod: SpeckerGroup
 ) -> LHom:
-    """Decode a dense matrix: each row needs checked entries, the domain's
-    width and exactly one positive entry, which becomes its (column, k) pair;
-    the dual point map then checks the row count and the unit."""
+    """Decode a dense matrix row by row with ``decode_matrix_row``; the
+    checked constructor of the dual point map then checks the row count and
+    the unit."""
     ncols = len(dom.base)
-    rows = []
-    for r, row in enumerate(matrix):
-        # checked() runs only on an entry that is not an int in range, to raise
-        row = [
-            v if type(v) is int and -INT_LIMIT <= v <= INT_LIMIT else checked(v, "matrix entry")
-            for v in row
-        ]
-        if len(row) != ncols:
-            raise SchemaError(f"row {r} has {len(row)} entries, expected {ncols}")
-        positives = [(c, k) for c, k in enumerate(row) if k != 0]
-        if any(k < 0 for _, k in positives):
-            raise SchemaError(f"row {r} has a negative entry")
-        if len(positives) != 1:
-            raise SchemaError(f"row {r} has {len(positives)} positive entries, expected exactly 1")
-        rows.append(positives[0])
-    return LHom(BmsMorphism(cod.base, dom.base, tuple(rows)))
+    rows = tuple([decode_matrix_row(r, row, ncols) for r, row in enumerate(matrix)])
+    return LHom(BmsMorphism(cod.base, dom.base, rows))
 
 
 def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:

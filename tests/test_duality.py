@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bms import duality, sgroup
 from bms.duality import (
     counit_iso,
     dual_hom,
@@ -154,6 +155,45 @@ def test_enumerate_lhoms_against_direct_construction():
         row[col] = k
         by_hand.append(validate_lhom([row], dom, cod))
     assert found == by_hand
+
+
+def _lhoms_matrix_by_matrix(dom, cod):
+    """Oracle: every dense matrix of the candidate-row product, each run
+    through ``validate_lhom`` as a whole, in product order."""
+    ncols = len(dom.base)
+    factors = []
+    for uw in cod.base.mults:
+        factor = []
+        for c, uv in enumerate(dom.base.mults):
+            if uw % uv == 0:
+                row = [0] * ncols
+                row[c] = uw // uv
+                factor.append(row)
+        factors.append(factor)
+    return [validate_lhom(matrix, dom, cod) for matrix in itertools.product(*factors)]
+
+
+def test_enumerate_lhoms_matches_the_matrix_by_matrix_oracle():
+    for x, y in itertools.product(all_spaces(2, 4), repeat=2):
+        dom, cod = function_group(y), function_group(x)
+        assert enumerate_lhoms(dom, cod) == _lhoms_matrix_by_matrix(dom, cod), (x, y)
+
+
+def test_enumerate_lhoms_decodes_each_candidate_row_once(monkeypatch):
+    # three rows of multiplicity 2 over a domain of units (1, 2): two
+    # candidates per row, 2**3 matrices
+    x = new_space(["x1", "x2", "x3"], [2, 2, 2])
+    y = new_space(["y1", "y2"], [1, 2])
+    calls = []
+
+    def counting_decoder(r, row, ncols):
+        calls.append(r)
+        return sgroup.decode_matrix_row(r, row, ncols)
+
+    monkeypatch.setattr(duality, "decode_matrix_row", counting_decoder)
+    lhoms = enumerate_lhoms(function_group(y), function_group(x))
+    assert len(lhoms) == 8
+    assert len(calls) == 2 + 2 + 2  # not |Hom| * |X| = 24
 
 
 def test_dual_point_map_inverts_dual_hom_everywhere():

@@ -87,6 +87,18 @@ def _apply_lhom_dropping_the_multiplier(h, f):
     return sgroup.GroupElement(h.cod, [f.values[c] for c, _ in h.rows])
 
 
+_enumerate_lhoms = duality.enumerate_lhoms
+
+
+def _enumerate_lhoms_dropping_each_rows_last_candidate(dom, cod):
+    """The matrices whose every row avoids its last candidate column."""
+    last = [
+        max((c for c, uv in enumerate(dom.base.mults) if uw % uv == 0), default=None)
+        for uw in cod.base.mults
+    ]
+    return [h for h in _enumerate_lhoms(dom, cod) if all(c != l for (c, _), l in zip(h.rows, last))]
+
+
 def _group_product_swapping_projections(s, t):
     p = _group_product(s, t)
     return limits.GroupProduct(p.group, p.projections[::-1])
@@ -99,57 +111,64 @@ def _group_coproduct_swapping_injections(s, t):
 
 # (row id, the (object, attribute) bindings patched, replacement, failure
 # counts in the order category laws / naturality / limit law / duality
-# exchange / functoriality).  A fault in a function is patched wherever a
-# module imported it.
+# exchange / functoriality / hom bijection).  A fault in a function is
+# patched wherever a module imported it.
 MORPHISM_FAULTS = [
     (
         "limit takes max for lcm",
         [(limits, "lcm")],
         lambda *values: max(values, default=1),
-        (0, 0, 102, 0, 0),
+        (0, 0, 102, 0, 0, 0),
     ),
     (
         "compose_rows drops the second multiplier",
         [(mspace, "compose_rows"), (limits, "compose_rows")],
         _compose_rows_dropping_second_multiplier,
-        (698, 204, 54, 0, 596),
+        (698, 204, 54, 0, 596, 0),
     ),
     # Not row by row: a one-point domain cannot see it.
     (
         "compose_rows reuses the multiplier of row 0",
         [(mspace, "compose_rows"), (limits, "compose_rows")],
         _compose_rows_with_row_0s_multiplier,
-        (5298, 140, 0, 0, 698),
+        (5298, 140, 0, 0, 698, 0),
     ),
     (
         "is_isomorphism always false",
         [(mspace, "is_isomorphism"), (laws, "is_isomorphism")],
         lambda m: False,
-        (22, 0, 0, 91, 0),
+        (22, 0, 0, 91, 0, 0),
     ),
     (
         "coproduct adds a junk point",
         [(limits, "coproduct")],
         _coproduct_with_a_junk_point,
-        (0, 0, 0, 91, 0),
+        (0, 0, 0, 91, 0, 0),
     ),
     (
         "apply_lhom drops the multiplier",
         [(sgroup, "apply_lhom")],
         _apply_lhom_dropping_the_multiplier,
-        (0, 0, 0, 0, 1162),
+        (0, 0, 0, 0, 1162, 0),
     ),
     (
         "group_product swaps its projections",
         [(limits, "group_product")],
         _group_product_swapping_projections,
-        (0, 0, 0, 78, 0),
+        (0, 0, 0, 78, 0, 0),
     ),
     (
         "group_coproduct swaps its injections",
         [(limits, "group_coproduct")],
         _group_coproduct_swapping_injections,
-        (0, 0, 0, 78, 0),
+        (0, 0, 0, 78, 0, 0),
+    ),
+    # On the matrix side: the point maps are all there, their duals are not.
+    (
+        "enumerate_lhoms drops the last candidate of every row",
+        [(duality, "enumerate_lhoms")],
+        _enumerate_lhoms_dropping_each_rows_last_candidate,
+        (0, 0, 0, 0, 0, 92),
     ),
 ]
 
@@ -163,6 +182,7 @@ def morphism_failure_counts(spaces):
         len(laws.check_limit_law(spaces, spaces)),
         len(laws.check_duality_exchange(spaces)),
         len(laws.check_functoriality(spaces)),
+        len(laws.check_hom_bijection(spaces)),
     )
 
 
@@ -189,8 +209,10 @@ def test_morphism_fault_is_reported(monkeypatch, fresh_caches, bindings, fault, 
     assert morphism_failure_counts(all_spaces(2, 3)) == counts
 
 
-# The ``run_laws`` entries of the five morphism counts, in their order.
-MORPHISM_CHECKS = ("category_laws", "naturality", "limit_law", "duality_exchange", "functoriality")
+# The ``run_laws`` entries of the six morphism counts, in their order.
+MORPHISM_CHECKS = (
+    "category_laws", "naturality", "limit_law", "duality_exchange", "functoriality", "hom_bijection"
+)
 
 
 @pytest.mark.parametrize(

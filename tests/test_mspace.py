@@ -368,6 +368,18 @@ def test_a_row_that_is_not_a_pair_is_schema_error(row):
         BmsMorphism(x, y, [row])
 
 
+def test_rows_given_as_an_int_are_schema_error():
+    x, y = new_space(["x"], [2]), new_space(["y"], [1])
+    with pytest.raises(SchemaError, match="rows must be a sequence of .* got 5"):
+        BmsMorphism(x, y, 5)
+
+
+def test_rows_given_as_none_are_schema_error():
+    x, y = new_space(["x"], [2]), new_space(["y"], [1])
+    with pytest.raises(SchemaError, match="rows must be a sequence of .* got None"):
+        BmsMorphism(x, y, None)
+
+
 def test_space_pickled_under_another_hash_seed_is_rehashed():
     env = dict(os.environ, PYTHONHASHSEED="2" if os.environ.get("PYTHONHASHSEED") == "1" else "1")
     env["PYTHONPATH"] = os.pathsep.join(sys.path)

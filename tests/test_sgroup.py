@@ -231,6 +231,23 @@ def test_zero_set_given_as_a_list_is_stored_as_a_frozenset():
     assert residue(ClosedSetIdeal(g, ["a", "a"]), g.unit()) == 1
 
 
+def test_zero_set_given_as_an_int_is_schema_error():
+    g = SpeckerGroup(new_space(["a", "b"], [1, 2]))
+    with pytest.raises(SchemaError, match="zero set must be an iterable of point labels, got 5"):
+        ClosedSetIdeal(g, 5)
+
+
+def test_zero_set_given_as_a_string_is_refused():
+    g = SpeckerGroup(new_space(["p1", "p2"], [1, 2]))
+    with pytest.raises(SchemaError, match="'p1' is a string; pass a list of point labels"):
+        ideal_from_zeroset(g, "p1")
+    # Split into characters, "ab" would name the two points a and b.
+    g = SpeckerGroup(new_space(["a", "b", "ab"], [1, 1, 1]))
+    with pytest.raises(SchemaError, match="'ab' is a string; pass a list of point labels"):
+        ideal_from_zeroset(g, "ab")
+    assert ideal_from_zeroset(g, ["ab"]).zeroset == {"ab"}
+
+
 def test_zeroset_from_ideal_examples():
     g = grp(1, 2)
     assert zeroset_from_ideal(g, [g.unit()]).zeroset == frozenset()
