@@ -228,14 +228,11 @@ def _run(args: argparse.Namespace) -> int:
         cone = limits.limit(limits.diagram_from_dict(_load(args.diagram)))
         _emit(limits.cone_to_dict(cone))
     elif args.verb == "gamma":
-        algebra = mv.unit_interval_algebra(group_from_dict(_load(args.file)))
-        report = mv.verify_mv_axioms(algebra)
+        group = group_from_dict(_load(args.file))
+        report = mv.verify_mv_axioms(group)
         _emit({
-            "cardinality": mv.cardinality(algebra),
-            "fibers": [
-                {"points": list(c.points), "n": c.n}
-                for c in mv.fiber_decomposition(algebra)
-            ],
+            "cardinality": mv.cardinality(group),
+            "fibers": [{"points": list(c.points), "n": c.n} for c in mv.fiber_decomposition(group)],
             "axioms": "pass" if report["pass"] else "fail",
         })
         if not report["pass"]:

@@ -13,11 +13,18 @@ from .errors import OverflowLimitError, SchemaError
 INT_LIMIT = 2**63 - 1
 
 
-def checked(value: int, context: str = "value") -> int:
-    """Return ``value`` unchanged, or raise if it exceeds the 64-bit bound."""
+def require_int(value: object, context: str = "value") -> int:
+    """Return ``value`` unchanged, or raise SchemaError if it is not an int;
+    a bool is not."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{context} must be an integer, got {value!r}")
-    if abs(value) > INT_LIMIT:
+    return value
+
+
+def checked(value: int, context: str = "value") -> int:
+    """Return ``value`` unchanged, or raise if it is not an int or exceeds
+    the 64-bit bound."""
+    if abs(require_int(value, context)) > INT_LIMIT:
         raise OverflowLimitError(f"{context} {value} exceeds the 64-bit bound")
     return value
 

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from . import duality, limits, mv, omega, sgroup
 from .errors import SchemaError, SizeLimitError
-from .ints import checked_lcm
+from .ints import checked_lcm, require_int
 from .mspace import (
     MultiSpace,
     Rows,
@@ -286,11 +286,11 @@ def check_duality_exchange(spaces: Sequence[MultiSpace]) -> list[str]:
     for x, y in itertools.combinations_with_replacement(spaces, 2):
         gx, gy = duality.function_group(x), duality.function_group(y)
         prod = limits.group_product(gx, gy)
-        maps = [p.point_map for p in prod.projections]
+        maps = [p.point_map for p in prod.legs]
         rows = sorted([r for m in maps for r in m.rows])
-        if [m.dom for m in maps] != [x, y] or rows != [(j, 1) for j in range(len(prod.group.base))]:
+        if [m.dom for m in maps] != [x, y] or rows != [(j, 1) for j in range(len(prod.apex.base))]:
             failures.append(f"coproduct/product exchange fails for {x!r},{y!r}")
-        if not is_isomorphism(sgroup.identity_lhom(prod.group).point_map):
+        if not is_isomorphism(sgroup.identity_lhom(prod.apex).point_map):
             failures.append(f"exchange witness is not an isomorphism for {x!r},{y!r}")
         maps = [i.point_map for i in limits.group_coproduct(gx, gy).injections]
         components = set(zip(*[[j for j, _ in m.rows] for m in maps]))
@@ -302,19 +302,22 @@ def check_duality_exchange(spaces: Sequence[MultiSpace]) -> list[str]:
 # -- MV algebras ---------------------------------------------------------------
 
 def check_gamma_laws(groups: Sequence[SpeckerGroup]) -> list[str]:
+    """Per group: the closed-form cardinality against the exhaustive oracle's
+    element count, both axiom verdicts, the fiber decomposition, and, when
+    every unit is 1, idempotence of (+).  Gamma(g) is enumerated once, by the
+    oracle, and again only for the idempotence loop."""
     failures = []
     for g in groups:
-        algebra = mv.unit_interval_algebra(g)
-        elems = list(mv.elements(algebra))
-        expected = mv.cardinality(algebra)
-        if len(elems) != expected:
+        expected = mv.cardinality(g)
+        report = mv.verify_mv_axioms(g)
+        exhaustive = mv.verify_mv_axioms_exhaustive(g)
+        if exhaustive["cardinality"] != expected:
             failures.append(f"cardinality law fails for unit {g.base.mults}")
-        report = mv.verify_mv_axioms(algebra)
         if not report["pass"]:
             failures.append(f"axioms fail for unit {g.base.mults}: {report['violations']}")
-        if mv.verify_mv_axioms_exhaustive(algebra)["pass"] != report["pass"]:
+        if exhaustive["pass"] != report["pass"]:
             failures.append(f"per-chain and exhaustive axiom verdicts disagree for unit {g.base.mults}")
-        fibers = mv.fiber_decomposition(algebra)
+        fibers = mv.fiber_decomposition(g)
         total = 1
         seen_points: list[str] = []
         for comp in fibers:
@@ -323,7 +326,7 @@ def check_gamma_laws(groups: Sequence[SpeckerGroup]) -> list[str]:
         if total != expected or sorted(seen_points) != sorted(g.base.labels):
             failures.append(f"fiber decomposition fails for unit {g.base.mults}")
         if all(u == 1 for u in g.base.mults):
-            for x in elems:
+            for x in mv.elements(g):
                 if mv.mv_plus(x, x) != x:
                     failures.append(f"boolean idempotence fails at {x.values}")
     return failures
@@ -469,12 +472,13 @@ def check_stone_restriction(spaces: Sequence[MultiSpace]) -> list[str]:
 def run_laws(max_points: int = 2, max_mult: int = 3, seed: int = 0) -> dict:
     """Run every sweep at the given bounds and aggregate the failures.
 
-    The bounds are checked before anything is enumerated: a negative point
-    count or a multiplicity bound below 1 is a ``SchemaError``.  There are
-    two size refusals, each a ``SizeLimitError``: more than
-    ``LAWS_MAX_POINTS`` points, and more than ``LAWS_UNIVERSE_CAP`` spaces.
+    The bounds are checked before anything is enumerated: a bound that is
+    not an int (a bool is not), a negative point count or a multiplicity
+    bound below 1 is a ``SchemaError``.  There are two size refusals, each a
+    ``SizeLimitError``: more than ``LAWS_MAX_POINTS`` points, and more than
+    ``LAWS_UNIVERSE_CAP`` spaces.
     """
-    if max_points < 0 or max_mult < 1:
+    if require_int(max_points, "max_points") < 0 or require_int(max_mult, "max_mult") < 1:
         raise SchemaError(
             f"laws bounds need max_points >= 0 and max_mult >= 1, got {max_points} and {max_mult}"
         )

@@ -15,11 +15,15 @@ which decides it at every test apex; its ``cones`` counts the cones from
 the test apexes.
 Coproducts are disjoint unions, with prefixed labels that cannot collide.
 Products and coproducts of Specker groups are obtained through the
-duality.  Finite multispaces have coequalizers (the quotient by the
-generated relation, each class with the gcd of its multiplicities) and so
-pushouts, but neither is implemented yet: ``pushout`` and ``coequalizer``
-raise ``MissingColimitError``.  What fails in general is the omega+1 case,
-where such a gcd need not be continuous (``omega.pushout_demo``).
+duality, and are the same ``Cone`` and ``Cocone`` in the group category:
+``group_product`` is the cone of projections on G(X + Y), the duals of the
+coproduct injections, and ``group_coproduct`` the cocone of injections into
+G(X x Y), the duals of the product legs.  Finite multispaces have
+coequalizers (the quotient by the generated relation, each class with the
+gcd of its multiplicities) and so pushouts, but neither is implemented
+yet: ``pushout`` and ``coequalizer`` raise ``MissingColimitError``.  What
+fails in general is the omega+1 case, where such a gcd need not be
+continuous (``omega.pushout_demo``).
 """
 
 from __future__ import annotations
@@ -65,8 +69,6 @@ __all__ = [
     "coequalizer",
     "verify_universal",
     "verify_couniversal",
-    "GroupProduct",
-    "GroupCoproduct",
     "group_product",
     "group_coproduct",
     "diagram_from_dict",
@@ -92,14 +94,18 @@ class Diagram:
 
 @dataclass(frozen=True)
 class Cone:
-    apex: MultiSpace
-    legs: tuple[BmsMorphism, ...]
+    """A limit cone of spaces, or of groups with ``LHom`` legs."""
+
+    apex: MultiSpace | SpeckerGroup
+    legs: tuple[BmsMorphism, ...] | tuple[LHom, ...]
 
 
 @dataclass(frozen=True)
 class Cocone:
-    apex: MultiSpace
-    injections: tuple[BmsMorphism, ...]
+    """A colimit cocone of spaces, or of groups with ``LHom`` injections."""
+
+    apex: MultiSpace | SpeckerGroup
+    injections: tuple[BmsMorphism, ...] | tuple[LHom, ...]
 
 
 def _tuple_label(labels: Sequence[str]) -> str:
@@ -281,34 +287,18 @@ def verify_couniversal(candidate: Cocone, test_apexes: Sequence[MultiSpace]) -> 
 
 # -- products and coproducts of Specker groups, through the duality -----------
 
-@dataclass(frozen=True)
-class GroupProduct:
-    group: SpeckerGroup
-    projections: tuple[LHom, LHom]
-
-
-@dataclass(frozen=True)
-class GroupCoproduct:
-    group: SpeckerGroup
-    injections: tuple[LHom, LHom]
-
-
-def group_product(s: SpeckerGroup, t: SpeckerGroup) -> GroupProduct:
-    """Cartesian product of groups: the group over the coproduct of bases."""
+def group_product(s: SpeckerGroup, t: SpeckerGroup) -> Cone:
+    """Cartesian product of groups: the group over the coproduct of bases,
+    with the duals of the coproduct injections as projections."""
     cc = coproduct(s.base, t.base)
-    return GroupProduct(
-        function_group(cc.apex),
-        (dual_hom(cc.injections[0]), dual_hom(cc.injections[1])),
-    )
+    return Cone(function_group(cc.apex), tuple([dual_hom(i) for i in cc.injections]))
 
 
-def group_coproduct(s: SpeckerGroup, t: SpeckerGroup) -> GroupCoproduct:
-    """Coproduct of groups: the group over the product of bases."""
+def group_coproduct(s: SpeckerGroup, t: SpeckerGroup) -> Cocone:
+    """Coproduct of groups: the group over the product of bases, with the
+    duals of the product legs as injections."""
     cone = product(s.base, t.base)
-    return GroupCoproduct(
-        function_group(cone.apex),
-        (dual_hom(cone.legs[0]), dual_hom(cone.legs[1])),
-    )
+    return Cocone(function_group(cone.apex), tuple([dual_hom(l) for l in cone.legs]))
 
 
 # -- JSON forms ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Unit-interval MV-algebras of Specker groups.
 
-The algebra of a group is its unit interval [0, u] with truncated addition
-x (+) y = (x + y) /\\ u and complement u - x.  Elements reuse group-element
-storage.  Over a finite base the algebra is the product, over the base
-points, of the Lukasiewicz chains [0, u(p)] (Mundici's Gamma in this case),
-so its cardinality has a closed form and its axioms are verified chain by
-chain, without materializing the element set.  The test oracle
+The algebra Gamma(G) of a group G is its unit interval [0, u] with truncated
+addition x (+) y = (x + y) /\\ u and complement u - x.  G alone fixes it, so
+Gamma(G) is carried by G: every function here takes the ``SpeckerGroup``,
+the elements are group elements, and an ``MVHom`` is its ``LHom``.  Over a
+finite base the algebra is the product, over the base points, of the
+Lukasiewicz chains [0, u(p)] (Mundici's Gamma in this case), so its
+cardinality has a closed form and its axioms are verified chain by chain,
+without materializing the element set.  The test oracle
 ``verify_mv_axioms_exhaustive`` enumerates the elements instead, builds its
 tables from their values and runs the same equation kernel on them, so the
 two differ only in the product decomposition.
@@ -27,10 +29,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "SpeckerMV",
     "FiberComponent",
     "MVHom",
-    "unit_interval_algebra",
     "unit_interval_hom",
     "mv_zero",
     "mv_top",
@@ -58,13 +58,6 @@ EXHAUSTIVE_CAP = 400
 
 
 @dataclass(frozen=True)
-class SpeckerMV:
-    """The MV-algebra carried by the unit interval of a Specker group."""
-
-    group: SpeckerGroup
-
-
-@dataclass(frozen=True)
 class FiberComponent:
     """A maximal set of base points sharing one unit value."""
 
@@ -72,27 +65,28 @@ class FiberComponent:
     n: int
 
 
-def unit_interval_algebra(group: SpeckerGroup) -> SpeckerMV:
-    return SpeckerMV(group)
+def _element(x: object) -> GroupElement:
+    if not isinstance(x, GroupElement):
+        raise SchemaError(f"{x!r} is not a group element")
+    return x
 
 
-def contains(algebra: SpeckerMV, x: GroupElement) -> bool:
-    return x.group == algebra.group and leq(algebra.group.zero(), x) and leq(x, algebra.group.unit())
+def contains(group: SpeckerGroup, x: GroupElement) -> bool:
+    """Whether x lies in Gamma(group); SchemaError if x is no group element."""
+    return _element(x).group == group and leq(group.zero(), x) and leq(x, group.unit())
 
 
-def _require_member(x: GroupElement) -> SpeckerMV:
-    algebra = SpeckerMV(x.group)
-    if not contains(algebra, x):
+def _require_member(x: GroupElement) -> None:
+    if not contains(_element(x).group, x):
         raise SchemaError(f"{x.values} is outside the unit interval {x.group.base.mults}")
-    return algebra
 
 
-def mv_zero(algebra: SpeckerMV) -> GroupElement:
-    return algebra.group.zero()
+def mv_zero(group: SpeckerGroup) -> GroupElement:
+    return group.zero()
 
 
-def mv_top(algebra: SpeckerMV) -> GroupElement:
-    return algebra.group.unit()
+def mv_top(group: SpeckerGroup) -> GroupElement:
+    return group.unit()
 
 
 def mv_plus(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -110,40 +104,38 @@ def mv_neg(x: GroupElement) -> GroupElement:
     return x.group.unit() - x
 
 
-def elements(algebra: SpeckerMV) -> Iterator[GroupElement]:
+def elements(group: SpeckerGroup) -> Iterator[GroupElement]:
     """All unit-interval elements, in lexicographic value order."""
-    ranges = [range(u + 1) for u in algebra.group.base.mults]
-    for vals in itertools.product(*ranges):
-        yield GroupElement(algebra.group, vals)
+    for vals in itertools.product(*[range(u + 1) for u in group.base.mults]):
+        yield GroupElement(group, vals)
 
 
-def cardinality(algebra: SpeckerMV) -> int:
-    return math.prod(u + 1 for u in algebra.group.base.mults)
+def cardinality(group: SpeckerGroup) -> int:
+    return math.prod(u + 1 for u in group.base.mults)
 
 
 @dataclass(frozen=True)
 class MVHom:
-    """Restriction of a unital l-homomorphism to unit intervals.
+    """Restriction of a unital l-homomorphism to unit intervals, from
+    Gamma(lhom.dom) to Gamma(lhom.cod).
 
     Well defined because such homomorphisms are order preserving and send
     unit to unit.
     """
 
-    dom: SpeckerMV
-    cod: SpeckerMV
     lhom: LHom
 
     def __call__(self, x: GroupElement) -> GroupElement:
-        if not contains(self.dom, x):
+        if not contains(self.lhom.dom, x):
             raise SchemaError("argument is outside the domain algebra")
         return apply_lhom(self.lhom, x)
 
 
 def unit_interval_hom(h: LHom) -> MVHom:
-    return MVHom(SpeckerMV(h.dom), SpeckerMV(h.cod), h)
+    return MVHom(h)
 
 
-def verify_mv_axioms(algebra: SpeckerMV) -> dict:
+def verify_mv_axioms(group: SpeckerGroup) -> dict:
     """Check the MV-algebra equations on each distinct chain of the algebra.
 
     The algebra is the product of the non-empty chains [0, n], one per base
@@ -162,7 +154,7 @@ def verify_mv_axioms(algebra: SpeckerMV) -> dict:
     ``verify_mv_axioms_exhaustive`` is the independent oracle that builds
     the tables of small algebras from all of their elements.
     """
-    chains = [c.n for c in fiber_decomposition(algebra)]
+    chains = [c.n for c in fiber_decomposition(group)]
     if chains and max(chains) > CHAIN_LIMIT:
         raise SizeLimitError(
             f"unit value {max(chains)} exceeds the chain limit {CHAIN_LIMIT} of gamma"
@@ -174,7 +166,7 @@ def verify_mv_axioms(algebra: SpeckerMV) -> dict:
         idx = np.arange(n + 1)
         plus = np.minimum(idx[:, None] + idx[None, :], n)
         violations += _table_violations(plus, n - idx, f"on chain [0,{n}]")
-    return {"cardinality": cardinality(algebra), "violations": violations, "pass": not violations}
+    return {"cardinality": cardinality(group), "violations": violations, "pass": not violations}
 
 
 def _table_violations(plus: np.ndarray, neg: np.ndarray, where: str) -> list[str]:
@@ -209,7 +201,7 @@ def _table_violations(plus: np.ndarray, neg: np.ndarray, where: str) -> list[str
     return violations
 
 
-def verify_mv_axioms_exhaustive(algebra: SpeckerMV) -> dict:
+def verify_mv_axioms_exhaustive(group: SpeckerGroup) -> dict:
     """Test oracle: check the same equations on tables over all elements.
 
     Independent of the product decomposition: it enumerates every element,
@@ -219,7 +211,7 @@ def verify_mv_axioms_exhaustive(algebra: SpeckerMV) -> dict:
     before enumerating anything, when the algebra has more than
     EXHAUSTIVE_CAP elements.
     """
-    size = cardinality(algebra)
+    size = cardinality(group)
     if size > EXHAUSTIVE_CAP:
         raise SizeLimitError(
             f"algebra of {size} elements exceeds the exhaustive cap {EXHAUSTIVE_CAP}"
@@ -228,19 +220,19 @@ def verify_mv_axioms_exhaustive(algebra: SpeckerMV) -> dict:
 
     # elements yields the all-zero tuple first, the zero at index 0 that
     # _table_violations requires
-    elems = [e.values for e in elements(algebra)]
+    elems = [e.values for e in elements(group)]
     index = {x: i for i, x in enumerate(elems)}
-    unit = algebra.group.unit().values
+    unit = group.unit().values
     plus = np.array([
         [index[tuple(min(a + b, u) for a, b, u in zip(x, y, unit))] for y in elems]
         for x in elems
     ])
     neg = np.array([index[tuple(u - a for a, u in zip(x, unit))] for x in elems])
-    violations = _table_violations(plus, neg, f"on unit {algebra.group.base.mults}")
+    violations = _table_violations(plus, neg, f"on unit {group.base.mults}")
     return {"cardinality": len(elems), "violations": violations, "pass": not violations}
 
 
-def fiber_decomposition(algebra: SpeckerMV) -> tuple[FiberComponent, ...]:
+def fiber_decomposition(group: SpeckerGroup) -> tuple[FiberComponent, ...]:
     """Group base points by unit value, components ordered by that value.
 
     The algebra is the product over its fibers of algebras of functions into
@@ -248,7 +240,7 @@ def fiber_decomposition(algebra: SpeckerMV) -> tuple[FiberComponent, ...]:
     to the total.
     """
     groups: dict[int, list[str]] = {}
-    base = algebra.group.base
+    base = group.base
     for lab, u in zip(base.labels, base.mults):
         groups.setdefault(u, []).append(lab)
     return tuple(FiberComponent(tuple(pts), n) for n, pts in sorted(groups.items()))

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from .errors import SchemaError, SizeLimitError
 from .intlinalg import Certificate, solve_integer_system
-from .ints import checked, checked_lcm
+from .ints import checked, checked_lcm, require_int
 
 __all__ = [
     "INFINITY",
@@ -256,11 +256,11 @@ def countable_power_demo(max_k: int = 10) -> dict:
     coordinates and the multiplicity-2 letter afterwards; every witness
     forces LCM multiplicity 2, yet their coordinatewise limit (the constant
     multiplicity-1 point) forces 1, so the LCM multiplicity is not
-    continuous at the limit; ``confirmed`` reports that.  A negative
-    ``max_k`` raises SchemaError, and one above ``PUSHOUT_BOUND_LIMIT``
-    SizeLimitError, before any work.
+    continuous at the limit; ``confirmed`` reports that.  A ``max_k`` that
+    is not an int (a bool is not) or is negative raises SchemaError, and one
+    above ``PUSHOUT_BOUND_LIMIT`` SizeLimitError, before any work.
     """
-    if max_k < 0:
+    if require_int(max_k, "power bound") < 0:
         raise SchemaError(f"power bound must be >= 0, got {max_k}")
     if max_k > PUSHOUT_BOUND_LIMIT:
         raise SizeLimitError(f"power bound {max_k} exceeds the limit of {PUSHOUT_BOUND_LIMIT}")
@@ -288,10 +288,11 @@ def pushout_demo(bound: int = 16) -> dict:
     for every n up to the bound (v(n) must be both a multiple and a divisor
     of 2).  No eventually constant, hence no continuous, multiplicity function
     satisfies all constraints: a tail of 1 needs a prefix longer than any
-    fixed bound as the bound grows.  A negative bound raises SchemaError,
-    and one above ``PUSHOUT_BOUND_LIMIT`` SizeLimitError, before any work.
+    fixed bound as the bound grows.  A bound that is not an int (a bool is
+    not) or is negative raises SchemaError, and one above
+    ``PUSHOUT_BOUND_LIMIT`` SizeLimitError, before any work.
     """
-    if bound < 0:
+    if require_int(bound, "pushout bound") < 0:
         raise SchemaError(f"pushout bound must be >= 0, got {bound}")
     if bound > PUSHOUT_BOUND_LIMIT:
         raise SizeLimitError(f"pushout bound {bound} exceeds the limit of {PUSHOUT_BOUND_LIMIT}")

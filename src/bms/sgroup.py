@@ -465,9 +465,12 @@ def validate_lhom(
 ) -> LHom:
     """Decode a dense matrix row by row with ``decode_matrix_row``; the
     checked constructor of the dual point map then checks the row count and
-    the unit."""
+    the unit.  A matrix or a row that is not iterable is a SchemaError."""
     ncols = len(dom.base)
-    rows = tuple([decode_matrix_row(r, row, ncols) for r, row in enumerate(matrix)])
+    try:
+        rows = tuple([decode_matrix_row(r, row, ncols) for r, row in enumerate(matrix)])
+    except TypeError:
+        raise SchemaError(f"matrix must be a sequence of integer rows, got {matrix!r}") from None
     return LHom(BmsMorphism(cod.base, dom.base, rows))
 
 

@@ -101,12 +101,12 @@ def _enumerate_lhoms_dropping_each_rows_last_candidate(dom, cod):
 
 def _group_product_swapping_projections(s, t):
     p = _group_product(s, t)
-    return limits.GroupProduct(p.group, p.projections[::-1])
+    return limits.Cone(p.apex, p.legs[::-1])
 
 
 def _group_coproduct_swapping_injections(s, t):
     c = _group_coproduct(s, t)
-    return limits.GroupCoproduct(c.group, c.injections[::-1])
+    return limits.Cocone(c.apex, c.injections[::-1])
 
 
 # (row id, the (object, attribute) bindings patched, replacement, failure

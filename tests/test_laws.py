@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from bms import duality, laws, limits, sgroup
+from bms.errors import SchemaError
 from bms.laws import all_spaces, representative_spaces
 from bms.mspace import compose, enumerate_homs, hom_factors, identity, new_space
 
@@ -156,3 +157,14 @@ def test_stone_restriction_builds_the_singulars_once_per_space(monkeypatch):
     ones = [x for x in spaces if set(x.mults) <= {1}]
     assert laws.check_stone_restriction(spaces) == []
     assert 0 < built <= len(ones) ** 2 == 16
+
+
+@pytest.mark.parametrize("bounds", [(True, 2), (2, True), (False, 3), (2.0, 3), (2, "3"), (None, 2)])
+def test_run_laws_refuses_a_bound_that_is_not_an_int(monkeypatch, bounds):
+    """The bounds are refused before any space is enumerated."""
+    def reached(*args):
+        raise AssertionError("the universe was enumerated")
+
+    monkeypatch.setattr(laws, "all_spaces", reached)
+    with pytest.raises(SchemaError, match="must be an integer"):
+        laws.run_laws(*bounds)

@@ -379,18 +379,18 @@ def test_group_product_and_coproduct():
     z1 = function_group(new_space(["z"], [1]))
     z2 = function_group(new_space(["z"], [2]))
     prod = group_product(z1, z2)
-    assert prod.group.base.mults == (1, 2)
-    for proj in prod.projections:
-        assert proj.dom == prod.group
+    assert prod.apex.base.mults == (1, 2)
+    for proj in prod.legs:
+        assert proj.dom == prod.apex
 
     z3 = function_group(new_space(["z"], [3]))
     cop = group_coproduct(z2, z3)
-    assert cop.group.base.mults == (6,)
+    assert cop.apex.base.mults == (6,)
     for inj in cop.injections:
-        assert inj.cod == cop.group
+        assert inj.cod == cop.apex
 
     trivial = function_group(new_space([], []))
-    assert group_product(z2, trivial).group.base.mults == (2,)
+    assert group_product(z2, trivial).apex.base.mults == (2,)
 
 
 def test_duality_exchange_small():
@@ -404,6 +404,13 @@ def test_group_injections_are_dual_projections():
     cop = group_coproduct(function_group(x), function_group(y))
     for leg, inj in zip(cone.legs, cop.injections):
         assert dual_hom(leg) == inj
+
+
+def test_group_projections_are_dual_injections():
+    for x, y in itertools.product(all_spaces(2, 3), repeat=2):
+        prod = group_product(function_group(x), function_group(y))
+        assert isinstance(prod, Cone)
+        assert prod.legs == tuple(dual_hom(i) for i in coproduct(x, y).injections)
 
 
 def test_pushout_and_coequalizer_are_refused():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -25,17 +26,17 @@ from bms.mv import (
     mv_plus,
     mv_top,
     mv_zero,
-    unit_interval_algebra,
+    MVHom,
     unit_interval_hom,
     verify_mv_axioms,
     verify_mv_axioms_exhaustive,
 )
-from bms.sgroup import SpeckerGroup
+from bms.sgroup import SpeckerGroup, identity_lhom
 
 
 def alg(*mults):
     labels = [f"p{i+1}" for i in range(len(mults))]
-    return unit_interval_algebra(SpeckerGroup(new_space(labels, list(mults))))
+    return SpeckerGroup(new_space(labels, list(mults)))
 
 
 def test_cardinality_examples():
@@ -51,16 +52,16 @@ def test_mv_operation_examples():
     assert mv_plus(u, u) == u                # absorption at the top
     assert mv_neg(mv_zero(a)) == u
     b = alg(2)
-    one = b.group.element((1,))
+    one = b.element((1,))
     assert mv_plus(one, one).values == (2,)  # (1+1) /\ 2
 
 
 def test_mv_argument_validation():
     a = alg(2)
     with pytest.raises(SchemaError):
-        mv_plus(a.group.element((3,)), mv_zero(a))   # above the unit
+        mv_plus(a.element((3,)), mv_zero(a))         # above the unit
     with pytest.raises(SchemaError):
-        mv_neg(a.group.element((-1,)))               # below zero
+        mv_neg(a.element((-1,)))                     # below zero
     b = alg(3)
     with pytest.raises(SchemaError):
         mv_plus(mv_zero(a), mv_zero(b))              # algebra mismatch
@@ -99,8 +100,7 @@ def test_axioms_pass_and_match_naive_oracle(mults):
 
 def test_per_chain_verdict_matches_exhaustive_oracle():
     for g in all_groups(3, 4):
-        algebra = unit_interval_algebra(g)
-        assert verify_mv_axioms(algebra) == verify_mv_axioms_exhaustive(algebra), g.base.mults
+        assert verify_mv_axioms(g) == verify_mv_axioms_exhaustive(g), g.base.mults
 
 
 def test_exhaustive_oracle_checks_343_elements_in_small_memory():
@@ -179,7 +179,7 @@ def test_unit_interval_hom_preserves_structure():
     cod = function_group(new_space(["x1", "x2"], [2, 2]))
     for lhom in enumerate_lhoms(dom, cod):
         h = unit_interval_hom(lhom)
-        da, ca = h.dom, h.cod
+        da, ca = h.lhom.dom, h.lhom.cod
         assert h(mv_zero(da)) == mv_zero(ca)
         assert h(mv_top(da)) == mv_top(ca)
         for x, y in itertools.product(elements(da), repeat=2):
@@ -188,15 +188,44 @@ def test_unit_interval_hom_preserves_structure():
             assert contains(ca, h(x))
 
 
+@pytest.mark.parametrize("value", [3, None, (1,), "x"])
+def test_a_value_that_is_no_group_element_is_refused(value):
+    a = alg(2)
+    h = MVHom(identity_lhom(a))
+    for call in [
+        lambda: contains(a, value),
+        lambda: mv_plus(value, mv_zero(a)),
+        lambda: mv_plus(mv_zero(a), value),
+        lambda: mv_neg(value),
+        lambda: h(value),
+    ]:
+        with pytest.raises(SchemaError, match="is not a group element"):
+            call()
+
+
+def test_mv_hom_is_its_lhom():
+    """An MVHom holds only its lhom, so its algebras cannot disagree with it."""
+    assert [f.name for f in dataclasses.fields(MVHom)] == ["lhom"]
+    dom = function_group(new_space(["y1", "y2"], [1, 2]))
+    cod = function_group(new_space(["x1", "x2"], [2, 2]))
+    other = function_group(new_space(["z"], [3]))
+    for lhom in enumerate_lhoms(dom, cod):
+        assert unit_interval_hom(lhom) == MVHom(lhom)
+        with pytest.raises(TypeError):
+            MVHom(other, other, lhom)
+        with pytest.raises(TypeError):
+            MVHom(lhom, dom=other)
+
+
 def test_product_preservation():
     s = function_group(new_space(["a"], [1]))
     t = function_group(new_space(["a"], [2]))
     prod = group_product(s, t)
-    big = unit_interval_algebra(prod.group)
+    big = prod.apex
     pairs = {
         (tuple(x.values), tuple(y.values))
-        for x in elements(unit_interval_algebra(s))
-        for y in elements(unit_interval_algebra(t))
+        for x in elements(s)
+        for y in elements(t)
     }
     split = {(e.values[:1], e.values[1:]) for e in elements(big)}
     assert split == pairs
@@ -222,7 +251,7 @@ def test_every_small_mv_hom_is_a_dual_image():
             continue
         ea, eb = list(elements(a)), list(elements(b))
         dual_images = set()
-        for lhom in enumerate_lhoms(a.group, b.group):
+        for lhom in enumerate_lhoms(a, b):
             h = unit_interval_hom(lhom)
             dual_images.add(tuple(h(x).values for x in ea))
         found = set()

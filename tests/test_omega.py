@@ -264,3 +264,14 @@ def test_negative_demo_bound_is_schema_error(demo):
     with pytest.raises(SchemaError, match="bound must be >= 0"):
         demo(-1)
     assert demo(0)["confirmed"]
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [lambda b: countable_power_demo(max_k=b), lambda b: pushout_demo(bound=b)],
+    ids=["power", "pushout"],
+)
+@pytest.mark.parametrize("bound", [True, False, 2.0, "3", None])
+def test_demo_bound_that_is_not_an_int_is_schema_error(demo, bound):
+    with pytest.raises(SchemaError, match="bound must be an integer"):
+        demo(bound)

@@ -360,6 +360,13 @@ def test_lhom_shape_errors():
         validate_lhom([[1]], dom2, cod1)         # wrong width
 
 
+@pytest.mark.parametrize("matrix", [5, [5], None], ids=["int", "int row", "none"])
+def test_lhom_given_a_value_that_is_not_iterable_is_schema_error(matrix):
+    g = grp(1)
+    with pytest.raises(SchemaError, match="matrix must be a sequence of integer rows"):
+        validate_lhom(matrix, g, g)
+
+
 @pytest.mark.parametrize(
     "entry, error, message",
     [
