@@ -6,7 +6,6 @@ from .errors import (
     BmsError,
     DivisibilityError,
     MathDomainError,
-    MissingColimitError,
     OverflowLimitError,
     SchemaError,
     SizeLimitError,
@@ -33,7 +32,6 @@ __all__ = [
     "DivisibilityError",
     "OverflowLimitError",
     "SizeLimitError",
-    "MissingColimitError",
     "MultiSpace",
     "BmsMorphism",
     "new_space",

@@ -6,8 +6,8 @@ residues.  Both round trips are witnessed by the isomorphisms themselves,
 the unit eta and the counit epsilon, and the hom-set bijection can be
 verified exhaustively on finite objects.
 
-An ``LHom`` is a view of its dual point map, so ``dual_hom`` wraps a point
-map and ``dual_point_map`` unwraps it, neither checking anything again.
+An ``LHom`` is a view of its dual point map: ``dual_hom`` wraps a point
+map without checking it again, and ``psi.point_map`` is the map back.
 ``spectrum_map`` carries the same rows onto the maximal-ideal spaces, and
 the counit at a group is the dual of the unit's inverse at its base.
 """
@@ -41,7 +41,6 @@ __all__ = [
     "dual_hom",
     "spectrum_space",
     "spectrum_map",
-    "dual_point_map",
     "unit_iso",
     "counit_iso",
     "triangle_identities_space",
@@ -85,11 +84,6 @@ def spectrum_map(psi: LHom) -> BmsMorphism:
     source point: psi's rows, on the spectra.
     """
     return BmsMorphism(spectrum_space(psi.cod), spectrum_space(psi.dom), psi.rows)
-
-
-def dual_point_map(psi: LHom) -> BmsMorphism:
-    """The point map dual to psi, on the original base spaces."""
-    return psi.point_map
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all bms modules.
 
-The CLI maps these onto distinct exit codes, so library code should raise
-the most specific class that applies.
+The CLI maps ``SchemaError`` to exit code 2 and ``MathDomainError``, with
+its subclasses, to exit code 3, so library code should raise the most
+specific class that applies.
 """
 
 
@@ -29,10 +30,3 @@ class OverflowLimitError(MathDomainError):
 class SizeLimitError(MathDomainError):
     """A request exceeds a documented size limit; refused before any work
     or allocation that would grow with it."""
-
-
-class MissingColimitError(BmsError):
-    """Raised for the colimit constructions that are not implemented yet.
-
-    Finite multispaces have pushouts and coequalizers; the obstruction to
-    them is the omega+1 case, replayed by ``omega.pushout_demo``."""

@@ -472,16 +472,17 @@ def check_stone_restriction(spaces: Sequence[MultiSpace]) -> list[str]:
 def run_laws(max_points: int = 2, max_mult: int = 3, seed: int = 0) -> dict:
     """Run every sweep at the given bounds and aggregate the failures.
 
-    The bounds are checked before anything is enumerated: a bound that is
-    not an int (a bool is not), a negative point count or a multiplicity
-    bound below 1 is a ``SchemaError``.  There are two size refusals, each a
-    ``SizeLimitError``: more than ``LAWS_MAX_POINTS`` points, and more than
-    ``LAWS_UNIVERSE_CAP`` spaces.
+    The bounds are checked before anything is enumerated: a bound or seed
+    that is not an int (a bool is not), a negative point count or a
+    multiplicity bound below 1 is a ``SchemaError``.  There are two size
+    refusals, each a ``SizeLimitError``: more than ``LAWS_MAX_POINTS``
+    points, and more than ``LAWS_UNIVERSE_CAP`` spaces.
     """
     if require_int(max_points, "max_points") < 0 or require_int(max_mult, "max_mult") < 1:
         raise SchemaError(
             f"laws bounds need max_points >= 0 and max_mult >= 1, got {max_points} and {max_mult}"
         )
+    require_int(seed, "seed")
     if max_points > LAWS_MAX_POINTS:
         raise SizeLimitError(f"max_points {max_points} exceeds the limit of {LAWS_MAX_POINTS} points")
     size = sum(max_mult**n for n in range(max_points + 1))

@@ -18,11 +18,10 @@ Products and coproducts of Specker groups are obtained through the
 duality, and are the same ``Cone`` and ``Cocone`` in the group category:
 ``group_product`` is the cone of projections on G(X + Y), the duals of the
 coproduct injections, and ``group_coproduct`` the cocone of injections into
-G(X x Y), the duals of the product legs.  Finite multispaces have
+G(X x Y), the duals of the product legs.  Finite multispaces also have
 coequalizers (the quotient by the generated relation, each class with the
-gcd of its multiplicities) and so pushouts, but neither is implemented
-yet: ``pushout`` and ``coequalizer`` raise ``MissingColimitError``.  What
-fails in general is the omega+1 case, where such a gcd need not be
+gcd of its multiplicities) and so pushouts; neither is built here yet.
+What fails in general is the omega+1 case, where such a gcd need not be
 continuous (``omega.pushout_demo``).
 """
 
@@ -33,10 +32,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import lcm
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 from .duality import dual_hom, function_group
-from .errors import MissingColimitError, OverflowLimitError, SchemaError, SizeLimitError
+from .errors import OverflowLimitError, SchemaError, SizeLimitError
 from .ints import INT_LIMIT
 from .mspace import (
     HOM_LIMIT,
@@ -65,8 +64,6 @@ __all__ = [
     "terminal",
     "coproduct",
     "initial",
-    "pushout",
-    "coequalizer",
     "verify_universal",
     "verify_couniversal",
     "group_product",
@@ -202,20 +199,6 @@ def coproduct(x: MultiSpace, y: MultiSpace) -> Cocone:
 
 def initial() -> MultiSpace:
     return new_space([], [])
-
-
-def pushout(f: BmsMorphism, g: BmsMorphism) -> NoReturn:
-    raise MissingColimitError(
-        "boolean multispaces lack general pushouts; "
-        "run `bms omega demo --which pushout` for the obstruction"
-    )
-
-
-def coequalizer(f: BmsMorphism, g: BmsMorphism) -> NoReturn:
-    raise MissingColimitError(
-        "boolean multispaces lack general coequalizers; "
-        "run `bms omega demo --which pushout` for the obstruction"
-    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -202,9 +202,10 @@ def not_specker_demo(seed: int = 0) -> dict:
     singular elements are indicators of finite sets (exhaustive over 0/1
     prefixes of length at most 6), and (c) its unit, the constant 2, is not
     an integer combination of those singular elements, certified by the
-    unreachable tail.
+    unreachable tail.  A seed that is not an int (a bool is not) is a
+    ``SchemaError``.
     """
-    rng = random.Random(seed)
+    rng = random.Random(require_int(seed, "seed"))
 
     def in_h(a: ECSeq) -> bool:
         return a.tail % 2 == 0

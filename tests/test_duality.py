@@ -6,7 +6,6 @@ from bms import duality, sgroup
 from bms.duality import (
     counit_iso,
     dual_hom,
-    dual_point_map,
     enumerate_lhoms,
     function_group,
     hom_bijection_report,
@@ -89,7 +88,7 @@ def test_spectrum_map_matches_original_up_to_unit_relabel():
         lifted = spectrum_map(dual_hom(gamma))
         square = compose(gamma, unit_iso(y))
         assert compose(unit_iso(x), lifted) == square
-        assert dual_point_map(dual_hom(gamma)) == gamma
+        assert dual_hom(gamma).point_map == gamma
 
 
 def test_unit_iso_preserves_multiplicities():
@@ -196,11 +195,11 @@ def test_enumerate_lhoms_decodes_each_candidate_row_once(monkeypatch):
     assert len(calls) == 2 + 2 + 2  # not |Hom| * |X| = 24
 
 
-def test_dual_point_map_inverts_dual_hom_everywhere():
+def test_point_map_inverts_dual_hom_everywhere():
     spaces = all_spaces(2, 3)
     for x, y in itertools.product(spaces, repeat=2):
         for psi in enumerate_lhoms(function_group(y), function_group(x)):
-            assert dual_hom(dual_point_map(psi)) == psi
+            assert dual_hom(psi.point_map) == psi
 
 
 def test_dual_hom_by_definition():
@@ -212,7 +211,7 @@ def test_dual_hom_by_definition():
         gx, gy = function_group(x), function_group(y)
         for gamma in enumerate_homs(x, y):
             psi = dual_hom(gamma)
-            assert psi.point_map is gamma and dual_point_map(psi) is gamma
+            assert psi.point_map is gamma
             ideals = [
                 (p, ideal_from_zeroset(gx, [p]), ideal_from_zeroset(gy, [gamma(p)]))
                 for p in x.labels

@@ -7,6 +7,7 @@ fault.  A check that reports nothing under a fault it is meant to catch
 cannot tell a working library from a broken one.
 """
 
+import numpy
 import pytest
 
 from bms import duality, laws, limits, mspace, sgroup
@@ -231,3 +232,35 @@ def test_run_laws_reports_a_morphism_fault_without_raising(
     assert not report["ok"]
     for check, count in zip(MORPHISM_CHECKS, counts):
         assert bool(report["checks"][check]["failures"]) == bool(count), check
+
+
+# (row id, object patched, attribute, replacement, failure count of the Γ
+# laws over all_groups(2, 3)).  ``mv`` imports numpy inside the functions
+# that build tables, so a fault in a table is patched on numpy itself.
+GAMMA_FAULTS = [
+    ("chain tables are cyclic", numpy, "minimum", lambda a, b: a % (b + 1), 24),
+]
+
+
+@pytest.mark.parametrize(
+    "target, name, fault, count",
+    [row[1:] for row in GAMMA_FAULTS],
+    ids=[row[0] for row in GAMMA_FAULTS],
+)
+def test_gamma_fault_is_reported(monkeypatch, target, name, fault, count):
+    monkeypatch.setattr(target, name, fault)
+    assert len(laws.check_gamma_laws(all_groups(2, 3))) == count
+
+
+@pytest.mark.parametrize(
+    "target, name, fault, count",
+    [row[1:] for row in GAMMA_FAULTS],
+    ids=[row[0] for row in GAMMA_FAULTS],
+)
+def test_run_laws_reports_a_gamma_fault_without_raising(monkeypatch, target, name, fault, count):
+    """Only ``gamma_laws`` reports the row in ``run_laws`` at its default
+    bounds, and the row does not make it raise."""
+    monkeypatch.setattr(target, name, fault)
+    report = laws.run_laws(2, 3)
+    assert not report["ok"]
+    assert [c for c, entry in report["checks"].items() if entry["failures"]] == ["gamma_laws"]

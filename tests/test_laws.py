@@ -168,3 +168,14 @@ def test_run_laws_refuses_a_bound_that_is_not_an_int(monkeypatch, bounds):
     monkeypatch.setattr(laws, "all_spaces", reached)
     with pytest.raises(SchemaError, match="must be an integer"):
         laws.run_laws(*bounds)
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, "abc", None])
+def test_run_laws_refuses_a_seed_that_is_not_an_int(monkeypatch, seed):
+    """The seed is refused with the bounds, before any space is enumerated."""
+    def reached(*args):
+        raise AssertionError("the universe was enumerated")
+
+    monkeypatch.setattr(laws, "all_spaces", reached)
+    with pytest.raises(SchemaError, match="seed must be an integer"):
+        laws.run_laws(1, 1, seed)

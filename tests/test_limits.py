@@ -4,13 +4,12 @@ import random
 import pytest
 
 from bms.duality import dual_hom, function_group
-from bms.errors import MissingColimitError, OverflowLimitError, SchemaError
+from bms.errors import OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT, checked_lcm
 from bms.laws import all_spaces, check_duality_exchange, check_limit_law
 from bms.limits import (
     Cone,
     Diagram,
-    coequalizer,
     coproduct,
     equalizer,
     group_coproduct,
@@ -19,7 +18,6 @@ from bms.limits import (
     limit,
     product,
     pullback,
-    pushout,
     terminal,
     verify_couniversal,
     verify_universal,
@@ -411,12 +409,3 @@ def test_group_projections_are_dual_injections():
         prod = group_product(function_group(x), function_group(y))
         assert isinstance(prod, Cone)
         assert prod.legs == tuple(dual_hom(i) for i in coproduct(x, y).injections)
-
-
-def test_pushout_and_coequalizer_are_refused():
-    x = new_space(["a"], [2])
-    f = new_morphism(x, x, {"a": "a"})
-    with pytest.raises(MissingColimitError):
-        pushout(f, f)
-    with pytest.raises(MissingColimitError):
-        coequalizer(f, f)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bms import omega
 from bms.errors import OverflowLimitError, SchemaError
 from bms.intlinalg import certificate_holds
 from bms.ints import INT_LIMIT
@@ -275,3 +276,14 @@ def test_negative_demo_bound_is_schema_error(demo):
 def test_demo_bound_that_is_not_an_int_is_schema_error(demo, bound):
     with pytest.raises(SchemaError, match="bound must be an integer"):
         demo(bound)
+
+
+@pytest.mark.parametrize("seed", [True, 2.5, "abc", None])
+def test_not_specker_seed_that_is_not_an_int_is_schema_error(monkeypatch, seed):
+    """The seed is refused before any sample is drawn."""
+    def reached(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(omega.random, "Random", reached)
+    with pytest.raises(SchemaError, match="seed must be an integer"):
+        not_specker_demo(seed=seed)

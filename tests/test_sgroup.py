@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bms.duality import dual_point_map, enumerate_lhoms
+from bms.duality import enumerate_lhoms
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
 from bms.ints import INT_LIMIT
 from bms.laws import all_groups, box_elements
@@ -396,8 +396,6 @@ def test_lhom_point_map_round_trip():
     cod = grp(4, labels=["w"])
     h = validate_lhom([[2]], dom, cod)
     assert h.point_map.mapping == {"w": "v"} and h.point_map.zetas == (2,)
-    gamma = dual_point_map(h)
-    assert gamma.mapping == {"w": "v"} and gamma.zetas == (2,)
 
 
 def test_lhom_pair_errors():
