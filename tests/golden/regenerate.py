@@ -7,6 +7,14 @@ its stderr error (null when stderr is empty).  ``tests/test_golden.py`` runs eve
 request in process through ``bms.cli.main`` and compares the outcomes with
 the stored ones.
 
+The ``cli_1_*`` requests are the 100 requests of the ``cli_requests``
+benchmark block of seed 1 (``perfbench/workloads.cli_block(1, ...)``), in
+its order, with their input files copied once into ``inputs/cli_1/``.  They
+are plain files here, so that the tests do not import ``perfbench``.
+
+``laws_slow.sha256`` holds the stdout hashes of ``bms laws`` at (3, 4) and
+(1, 99), which take too long for tier-1; CI checks them with ``sha256sum -c``.
+
 Run this script only for a change that means to alter the output; it keeps
 each name and argv and rewrites the outcomes:
 

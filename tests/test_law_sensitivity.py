@@ -10,7 +10,7 @@ cannot tell a working library from a broken one.
 import numpy
 import pytest
 
-from bms import duality, laws, limits, mspace, sgroup
+from bms import duality, laws, limits, mspace, mv, sgroup
 from bms.laws import all_groups, all_spaces
 
 _contains = sgroup.ClosedSetIdeal.contains
@@ -210,10 +210,16 @@ def test_morphism_fault_is_reported(monkeypatch, fresh_caches, bindings, fault, 
     assert morphism_failure_counts(all_spaces(2, 3)) == counts
 
 
-# The ``run_laws`` entries of the six morphism counts, in their order.
+# The ``laws.LAWS`` entries of the six morphism counts, in their order, and
+# the entry of the Γ counts.
 MORPHISM_CHECKS = (
     "category_laws", "naturality", "limit_law", "duality_exchange", "functoriality", "hom_bijection"
 )
+GAMMA_CHECK = "gamma_laws"
+
+
+def test_the_fault_columns_are_law_table_entries():
+    assert set(MORPHISM_CHECKS) | {GAMMA_CHECK} <= {name for name, _ in laws.LAWS}
 
 
 @pytest.mark.parametrize(
@@ -239,6 +245,10 @@ def test_run_laws_reports_a_morphism_fault_without_raising(
 # that build tables, so a fault in a table is patched on numpy itself.
 GAMMA_FAULTS = [
     ("chain tables are cyclic", numpy, "minimum", lambda a, b: a % (b + 1), 24),
+    # max(i, j) != min(i + j, n) iff 1 <= i, j < n: 0 + 1 + 4 over units 1 to 3.
+    ("mv_plus computes the join", mv, "mv_plus", sgroup.join, 5),
+    # n - i != n iff i > 0: 1 + 2 + 3 over units 1 to 3.
+    ("mv_neg returns the unit", mv, "mv_neg", lambda x: x.group.unit(), 6),
 ]
 
 
@@ -263,4 +273,4 @@ def test_run_laws_reports_a_gamma_fault_without_raising(monkeypatch, target, nam
     monkeypatch.setattr(target, name, fault)
     report = laws.run_laws(2, 3)
     assert not report["ok"]
-    assert [c for c, entry in report["checks"].items() if entry["failures"]] == ["gamma_laws"]
+    assert [c for c, entry in report["checks"].items() if entry["failures"]] == [GAMMA_CHECK]

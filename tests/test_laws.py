@@ -179,3 +179,16 @@ def test_run_laws_refuses_a_seed_that_is_not_an_int(monkeypatch, seed):
     monkeypatch.setattr(laws, "all_spaces", reached)
     with pytest.raises(SchemaError, match="seed must be an integer"):
         laws.run_laws(1, 1, seed)
+
+
+def test_run_laws_reaches_each_check_through_the_module(monkeypatch):
+    """Every ``LAWS`` entry calls ``laws.check_<name>`` as it is at call
+    time, so a check replaced on the module (as the benchmark's tracer and
+    the fault table replace them) is what ``run_laws`` reports under its
+    name, and the report keeps the table's names and order."""
+    names = [name for name, _ in laws.LAWS]
+    for name in names:
+        monkeypatch.setattr(laws, f"check_{name}", lambda *args, name=name, **kwargs: [name])
+    checks = laws.run_laws(1, 1)["checks"]
+    assert list(checks) == names
+    assert {name: entry["failures"] for name, entry in checks.items()} == {name: [name] for name in names}
