@@ -429,8 +429,11 @@ def check_hyperarch(groups: Sequence[SpeckerGroup], value_bound: int = 3) -> lis
     k*f with k <= value_bound + 1 can occur; they are built once per f.  A
     witness that is not an int in [0, value_bound] (a faulty one) is checked
     with n*f and (n+1)*f built directly, as the library computes them, so it
-    never indexes the stored multiples.
+    never indexes the stored multiples.  ``hyperarch_witness`` and ``meet``
+    are read from ``sgroup`` once per call, so a patch made before the call
+    applies.
     """
+    witness, meet = sgroup.hyperarch_witness, sgroup.meet
     failures = []
     for g in groups:
         box = list(box_elements(g, 0, value_bound))
@@ -438,14 +441,14 @@ def check_hyperarch(groups: Sequence[SpeckerGroup], value_bound: int = 3) -> lis
         for f in box:
             multiples = [k * f for k in range(value_bound + 2)]
             for h, gmax in zip(box, tops):
-                n = sgroup.hyperarch_witness(f, h)
+                n = witness(f, h)
                 if n > gmax:
                     failures.append(f"witness {n} exceeds max {gmax} at {f.values},{h.values}")
                 if type(n) is int and 0 <= n <= value_bound:
                     low, high = multiples[n], multiples[n + 1]
                 else:
                     low, high = n * f, (n + 1) * f
-                if sgroup.meet(low, h) != sgroup.meet(high, h):
+                if meet(low, h) != meet(high, h):
                     failures.append(f"witness equality fails at {f.values},{h.values}")
     return failures
 

@@ -24,7 +24,8 @@ that every value is an int, not a bool, with |v| <= ``INT_LIMIT``.
 Operations whose results stay in range by construction build elements
 through the private ``GroupElement._trusted`` without checking again:
 ``meet``, ``join``, unary ``-`` and ``abs`` (the bound is symmetric) and
-``box_elements`` (after checking its two bounds).
+``box_elements`` (after checking its two bounds), which also yields the
+candidates of ``is_maximal_by_criterion``.
 Only ``+``, ``-`` and scalar ``*`` can grow a value; each tests its result's
 extremes against the bound once and raises ``OverflowLimitError`` beyond it.
 No other module reaches ``_trusted``: ``tests/test_trusted_scope.py`` fails
@@ -38,9 +39,17 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import SchemaError
+from .errors import SchemaError, SizeLimitError
 from .ints import INT_LIMIT, checked
-from .mspace import BmsMorphism, MultiSpace, compose, identity, space_from_dict, space_to_dict
+from .mspace import (
+    HOM_LIMIT,
+    BmsMorphism,
+    MultiSpace,
+    compose,
+    identity,
+    space_from_dict,
+    space_to_dict,
+)
 
 __all__ = [
     "SpeckerGroup",
@@ -192,13 +201,19 @@ def box_elements(group: SpeckerGroup, lo: int, hi: int) -> Iterator[GroupElement
         yield _trusted(group, vals)
 
 
+# ``meet``, ``join`` and ``hyperarch_witness`` pass an element of the very
+# same group object without further test; anything else goes through
+# ``_same_group``, which accepts an equal group and refuses the rest.
+
 def meet(a: GroupElement, b: GroupElement) -> GroupElement:
-    a._same_group(b)
+    if type(b) is not GroupElement or a.group is not b.group:
+        a._same_group(b)
     return _trusted(a.group, tuple(map(min, a.values, b.values)))
 
 
 def join(a: GroupElement, b: GroupElement) -> GroupElement:
-    a._same_group(b)
+    if type(b) is not GroupElement or a.group is not b.group:
+        a._same_group(b)
     return _trusted(a.group, tuple(map(max, a.values, b.values)))
 
 
@@ -310,13 +325,18 @@ def residue_by_ideal_scan(m: ClosedSetIdeal, g: GroupElement) -> int:
     """The unique j with g - j * s in m, s the greatest singular element.
 
     Scans j over [-M, M] with M = max|g| * max(unit); a sound finite bound.
-    Refuses what ``residue`` refuses, before scanning.
+    Refuses what ``residue`` refuses, then, before scanning, a scan of more
+    than ``HOM_LIMIT`` values with SizeLimitError.
     """
     _one_zero_index(m, g)
-    s = greatest_singular(g.group)
     gmax = max((abs(v) for v in g.values), default=0)
     umax = max(g.group.base.mults, default=1)
     bound = gmax * umax
+    if 2 * bound + 1 > HOM_LIMIT:
+        raise SizeLimitError(
+            f"a residue scan of {2 * bound + 1} values exceeds the limit of {HOM_LIMIT}"
+        )
+    s = greatest_singular(g.group)
     hits = [j for j in range(-bound, bound + 1) if m.contains(g - j * s)]
     if len(hits) != 1:
         raise SchemaError(f"expected a unique residue, found {hits}")
@@ -368,22 +388,31 @@ def is_maximal_by_criterion(ideal: ClosedSetIdeal) -> bool:
     For each candidate a not in the ideal, searches n in [0, max(unit)] with
     (u - n*|a|) \\/ 0 in the ideal.  Quantifies a over all elements with
     values in [-1, 1] together with the unit, which is enough to separate
-    singletons from larger zero sets at desk scale.
+    singletons from larger zero sets at desk scale.  The candidates come
+    from ``box_elements``, so none is checked again.  The search reads only
+    |a|, so it runs once per distinct |a|: at most 2^n + 1 searches for the
+    3^n + 1 candidates of an n-point group.  A proper ideal of a group with
+    more than ``HOM_LIMIT`` candidates is refused with SizeLimitError before
+    the first one is built.
     """
     group = ideal.group
     u = group.unit()
     if ideal.contains(u):
         return False
-    boxes = itertools.product(*([(-1, 0, 1)] * len(group.base)))
-    candidates = [GroupElement(group, vals) for vals in boxes] + [u]
+    count = 3 ** len(group.base) + 1
+    if count > HOM_LIMIT:
+        raise SizeLimitError(f"{count} maximality candidates exceed the limit of {HOM_LIMIT}")
     zero = group.zero()
     nmax = max(group.base.mults, default=0)
-    for a in candidates:
+    searched = set()
+    for a in itertools.chain(box_elements(group, -1, 1), (u,)):
         if ideal.contains(a):
             continue
         size = abs(a)
-        ok = any(ideal.contains(join(u - n * size, zero)) for n in range(nmax + 1))
-        if not ok:
+        if size.values in searched:
+            continue
+        searched.add(size.values)
+        if not any(ideal.contains(join(u - n * size, zero)) for n in range(nmax + 1)):
             return False
     return True
 
@@ -396,12 +425,15 @@ def hyperarch_witness(f: GroupElement, g: GroupElement) -> int:
     At a point with f_i > 0 the value min(n*f_i, g_i) stops growing exactly
     when n*f_i >= g_i; where f_i = 0 it is always 0.  So n is the largest
     ceil(g_i / f_i) over the points with f_i > 0, or 0 if there are none,
-    and at most the largest value of g.
+    and at most the largest value of g.  g is tested as ``meet`` tests its
+    second argument; the sign test reads each vector's minimum once.
     """
-    f._same_group(g)
-    if min(f.values, default=0) < 0 or min(g.values, default=0) < 0:
+    if type(g) is not GroupElement or f.group is not g.group:
+        f._same_group(g)
+    fv, gv = f.values, g.values
+    if fv and (min(fv) < 0 or min(gv) < 0):
         raise SchemaError("hyperarch_witness requires nonnegative elements")
-    return max((-(-b // a) for a, b in zip(f.values, g.values) if a), default=0)
+    return max([-(-b // a) for a, b in zip(fv, gv) if a], default=0)
 
 
 # -- unital l-homomorphisms ---------------------------------------------------

@@ -14,35 +14,45 @@ from bms import duality, laws, limits, mspace, mv, sgroup
 from bms.laws import all_groups, all_spaces
 
 _contains = sgroup.ClosedSetIdeal.contains
+_mul = sgroup.GroupElement.__mul__
 
-# (row id, object patched, attribute, replacement, failure counts in the
-# order singular theory / ideal correspondence / hyperarch)
+# (row id, the (object, attribute) bindings patched, replacement, failure
+# counts in the order singular theory / ideal correspondence / hyperarch),
+# in the binding format of ``MORPHISM_FAULTS``.
 ELEMENT_FAULTS = [
     (
         "hyperarch witness floors",
-        sgroup,
-        "hyperarch_witness",
+        [(sgroup, "hyperarch_witness")],
         lambda f, g: max((b // a for a, b in zip(f.values, g.values) if a), default=0),
         (0, 0, 102),
     ),
-    ("hyperarch witness -1", sgroup, "hyperarch_witness", lambda f, g: -1, (0, 0, 666)),
+    ("hyperarch witness -1", [(sgroup, "hyperarch_witness")], lambda f, g: -1, (0, 0, 666)),
     # value_bound + 1 = 3 is the first witness past the stored multiples.
-    ("hyperarch witness 3", sgroup, "hyperarch_witness", lambda f, g: 3, (0, 0, 757)),
-    ("hyperarch witness 7", sgroup, "hyperarch_witness", lambda f, g: 7, (0, 0, 757)),
+    ("hyperarch witness 3", [(sgroup, "hyperarch_witness")], lambda f, g: 3, (0, 0, 757)),
+    ("hyperarch witness 7", [(sgroup, "hyperarch_witness")], lambda f, g: 7, (0, 0, 757)),
     (
         "is_singular accepts 2",
-        sgroup,
-        "is_singular",
+        [(sgroup, "is_singular")],
         lambda f: all(v in (0, 1, 2) for v in f.values),
         (648, 0, 0),
     ),
-    ("meet computes join", sgroup, "meet", sgroup.join, (114, 0, 666)),
+    ("meet computes join", [(sgroup, "meet")], sgroup.join, (114, 0, 666)),
     (
         "closed-set ideal membership inverted",
-        sgroup.ClosedSetIdeal,
-        "contains",
+        [(sgroup.ClosedSetIdeal, "contains")],
         lambda self, g: not _contains(self, g),
         (0, 69, 0),
+    ),
+    # Of the three checks, only the maximality oracle takes an absolute value.
+    ("abs returns its argument", [(sgroup.GroupElement, "__abs__")], lambda self: self, (0, 21, 0)),
+    ("join computes meet", [(sgroup, "join")], sgroup.meet, (114, 9, 0)),
+    # k*f as a sum of k - 1 copies of f, so 0*f and 1*f are both 0.  A
+    # scalar product is patched on both sides of the operator.
+    (
+        "k*f computed as (k - 1)*f",
+        [(sgroup.GroupElement, "__mul__"), (sgroup.GroupElement, "__rmul__")],
+        lambda self, k: _mul(self, max(k - 1, 0)),
+        (0, 15, 516),
     ),
 ]
 
@@ -56,12 +66,13 @@ def element_failure_counts(groups):
 
 
 @pytest.mark.parametrize(
-    "target, name, fault, counts",
+    "bindings, fault, counts",
     [row[1:] for row in ELEMENT_FAULTS],
     ids=[row[0] for row in ELEMENT_FAULTS],
 )
-def test_element_fault_is_reported(monkeypatch, target, name, fault, counts):
-    monkeypatch.setattr(target, name, fault)
+def test_element_fault_is_reported(monkeypatch, bindings, fault, counts):
+    for target, name in bindings:
+        monkeypatch.setattr(target, name, fault)
     assert element_failure_counts(all_groups(2, 3)) == counts
 
 

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bms import sgroup
 from bms.duality import enumerate_lhoms
-from bms.errors import DivisibilityError, OverflowLimitError, SchemaError
+from bms.errors import DivisibilityError, OverflowLimitError, SchemaError, SizeLimitError
 from bms.ints import INT_LIMIT
 from bms.laws import all_groups, box_elements
-from bms.mspace import BmsMorphism, new_space
+from bms.mspace import HOM_LIMIT, BmsMorphism, new_space
 from bms.sgroup import (
     ClosedSetIdeal,
     GroupElement,
@@ -222,6 +223,26 @@ def test_residue_oracle_needs_a_one_point_zero_set(zeroset):
         residue_by_ideal_scan(ideal_from_zeroset(g, zeroset), g.element((3, 3)))
 
 
+@pytest.mark.parametrize(
+    "mults, value", [((10**6,), 10**6), ((10**6,), 1), ((HOM_LIMIT // 2,), 1)],
+    ids=["unit and value 10^6", "unit 10^6", "one value past the limit"],
+)
+def test_residue_oracle_refuses_a_long_scan_before_scanning(monkeypatch, mults, value):
+    """A scan of 2 * max|g| * max(unit) + 1 values beyond ``HOM_LIMIT`` is
+    refused before the first one is built."""
+    g = grp(*mults)
+    f = g.element((value,))
+    monkeypatch.setattr(sgroup, "greatest_singular", lambda group: pytest.fail("scan started"))
+    with pytest.raises(SizeLimitError, match="residue scan"):
+        residue_by_ideal_scan(maxspec(g)[0], f)
+
+
+def test_residue_oracle_refuses_a_zero_set_that_is_not_one_point_before_the_cap():
+    g = grp(10**6, 10**6)
+    with pytest.raises(SchemaError, match="one-point zero set"):
+        residue_by_ideal_scan(ideal_from_zeroset(g, ["p1", "p2"]), g.unit())
+
+
 def test_zero_set_given_as_a_list_is_stored_as_a_frozenset():
     g = SpeckerGroup(new_space(["a", "b"], [1, 2]))
     ideal = ClosedSetIdeal(g, ["a"])
@@ -299,6 +320,35 @@ def test_maximality_criterion_agrees():
             assert is_maximal(ideal) == is_maximal_by_criterion(ideal)
 
 
+def test_maximality_criterion_searches_once_per_distinct_size(monkeypatch):
+    """At the maximal ideal at p1 of the group with unit (4, 4, 4), the 19
+    candidates outside the ideal have 5 distinct sizes |a|, and each search
+    tries n = 0, ..., 4 at most.  The candidates are not checked again: only
+    the unit and the zero go through the checked constructor."""
+    ideal = ideal_from_zeroset(grp(4, 4, 4), ["p1"])
+    joins, checked = [], []
+    monkeypatch.setattr(sgroup, "join", lambda a, b: joins.append(b) or join(a, b))
+    post_init = GroupElement.__post_init__
+    monkeypatch.setattr(
+        GroupElement, "__post_init__", lambda self: checked.append(self) or post_init(self)
+    )
+    assert is_maximal_by_criterion(ideal)
+    assert len(joins) <= 2**3 * (4 + 1)
+    assert len(checked) == 2
+
+
+@pytest.mark.parametrize("points", [11, 14])
+def test_maximality_criterion_refuses_a_large_group_before_enumerating(monkeypatch, points):
+    """3^11 + 1 candidates are past ``HOM_LIMIT``; 3^10 + 1 are not.  The
+    improper ideal needs no candidate, so it is answered."""
+    assert 3**10 + 1 <= HOM_LIMIT < 3**11 + 1
+    g = grp(*[1] * points)
+    monkeypatch.setattr(sgroup, "box_elements", lambda *args: pytest.fail("enumeration started"))
+    with pytest.raises(SizeLimitError, match="maximality candidates"):
+        is_maximal_by_criterion(maxspec(g)[0])
+    assert not is_maximal_by_criterion(ideal_from_zeroset(g, []))
+
+
 def test_hyperarch_witness_examples():
     g = grp(2, 2)
     u = g.unit()
@@ -309,6 +359,26 @@ def test_hyperarch_witness_examples():
     assert hyperarch_witness(h.element((1, 0)), h.element((0, 5))) == 0
     with pytest.raises(SchemaError):
         hyperarch_witness(g.element((-1, 0)), u)
+
+
+@pytest.mark.parametrize("op", [meet, join, hyperarch_witness], ids=lambda op: op.__name__)
+def test_element_kernels_test_their_second_argument(op):
+    """An element of an equal but distinct group object is accepted; one of
+    another group, or a value that is no element, is a SchemaError."""
+    a = grp(1, 2).element((1, 2))
+    twin = grp(1, 2).element((2, 1))
+    assert twin.group is not a.group and twin.group == a.group
+    assert op(a, twin) == op(a, a.group.element((2, 1)))
+    with pytest.raises(SchemaError, match="different groups"):
+        op(a, grp(2, 1).element((2, 1)))
+    with pytest.raises(SchemaError, match="expected a group element"):
+        op(a, 5)
+
+
+def test_hyperarch_witness_refuses_a_negative_second_argument():
+    g = grp(2, 2)
+    with pytest.raises(SchemaError, match="nonnegative"):
+        hyperarch_witness(g.unit(), g.element((0, -1)))
 
 
 def hyperarch_witness_by_scan(f, g):
