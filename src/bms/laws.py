@@ -230,10 +230,14 @@ def check_functoriality(spaces: Sequence[MultiSpace], sample: int = 0, seed: int
     failures = []
     homs = {(x, y): enumerate_homs(x, y) for x, y in itertools.product(spaces, repeat=2)}
     # The seeded sample draws from this list, so it keeps the order of the
-    # triple loop: f varies slower than g.
+    # triple loop over (x, y, z): f varies slower than g.  A triple with an
+    # empty hom-set adds no pair, so only the nonempty ones are walked.
+    nonempty = {y: [homs[y, z] for z in spaces if homs[y, z]] for y in spaces}
     pairs = []
-    for x, y, z in itertools.product(spaces, repeat=3):
-        pairs += itertools.product(homs[x, y], homs[y, z])
+    for x, y in itertools.product(spaces, repeat=2):
+        if homs[x, y]:
+            for second in nonempty[y]:
+                pairs += itertools.product(homs[x, y], second)
     if sample and len(pairs) > sample:
         rng = random.Random(seed)
         pairs = rng.sample(pairs, sample)
@@ -429,9 +433,10 @@ def check_hyperarch(groups: Sequence[SpeckerGroup], value_bound: int = 3) -> lis
     k*f with k <= value_bound + 1 can occur; they are built once per f.  A
     witness that is not an int in [0, value_bound] (a faulty one) is checked
     with n*f and (n+1)*f built directly, as the library computes them, so it
-    never indexes the stored multiples.  ``hyperarch_witness`` and ``meet``
-    are read from ``sgroup`` once per call, so a patch made before the call
-    applies.
+    never indexes the stored multiples.  The two meets both lie in f's
+    group, so the pair loop compares their values.  ``hyperarch_witness`` and
+    ``meet`` are read from ``sgroup`` once per call, so a patch made before
+    the call applies.
     """
     witness, meet = sgroup.hyperarch_witness, sgroup.meet
     failures = []
@@ -448,7 +453,7 @@ def check_hyperarch(groups: Sequence[SpeckerGroup], value_bound: int = 3) -> lis
                     low, high = multiples[n], multiples[n + 1]
                 else:
                     low, high = n * f, (n + 1) * f
-                if meet(low, h) != meet(high, h):
+                if meet(low, h).values != meet(high, h).values:
                     failures.append(f"witness equality fails at {f.values},{h.values}")
     return failures
 

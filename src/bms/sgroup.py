@@ -22,10 +22,11 @@ Element values are validated once, where they enter: calling
 ``GroupElement`` (and so ``SpeckerGroup.element``) checks the length and
 that every value is an int, not a bool, with |v| <= ``INT_LIMIT``.
 Operations whose results stay in range by construction build elements
-through the private ``GroupElement._trusted`` without checking again:
-``meet``, ``join``, unary ``-`` and ``abs`` (the bound is symmetric) and
+without checking again.  ``meet`` and ``join`` build theirs in place, as
+``_trusted`` does; unary ``-`` and ``abs`` (the bound is symmetric) and
 ``box_elements`` (after checking its two bounds), which also yields the
-candidates of ``is_maximal_by_criterion``.
+candidates of ``is_maximal_by_criterion``, call the private
+``GroupElement._trusted``.
 Only ``+``, ``-`` and scalar ``*`` can grow a value; each tests its result's
 extremes against the bound once and raises ``OverflowLimitError`` beyond it.
 No other module reaches ``_trusted``: ``tests/test_trusted_scope.py`` fails
@@ -201,33 +202,60 @@ def box_elements(group: SpeckerGroup, lo: int, hi: int) -> Iterator[GroupElement
         yield _trusted(group, vals)
 
 
-# ``meet``, ``join`` and ``hyperarch_witness`` pass an element of the very
-# same group object without further test; anything else goes through
-# ``_same_group``, which accepts an equal group and refuses the rest.
+# ``meet``, ``join``, ``leq`` and ``hyperarch_witness`` pass two elements of
+# the very same group object without further test; anything else goes
+# through ``_check_pair``, which accepts an equal group and refuses the rest.
+
+def _check_pair(a: GroupElement, b: GroupElement) -> None:
+    if not isinstance(a, GroupElement):
+        raise SchemaError(f"expected a group element, got {a!r}")
+    a._same_group(b)
+
 
 def meet(a: GroupElement, b: GroupElement) -> GroupElement:
-    if type(b) is not GroupElement or a.group is not b.group:
-        a._same_group(b)
-    return _trusted(a.group, tuple(map(min, a.values, b.values)))
+    if type(a) is not GroupElement or type(b) is not GroupElement or a.group is not b.group:
+        _check_pair(a, b)
+    values = [*a.values]
+    for i, v in enumerate(b.values):
+        if v < values[i]:
+            values[i] = v
+    e = _new(GroupElement)
+    _set_group(e, a.group)
+    _set_values(e, tuple(values))
+    return e
 
 
 def join(a: GroupElement, b: GroupElement) -> GroupElement:
-    if type(b) is not GroupElement or a.group is not b.group:
-        a._same_group(b)
-    return _trusted(a.group, tuple(map(max, a.values, b.values)))
+    if type(a) is not GroupElement or type(b) is not GroupElement or a.group is not b.group:
+        _check_pair(a, b)
+    values = [*a.values]
+    for i, v in enumerate(b.values):
+        if v > values[i]:
+            values[i] = v
+    e = _new(GroupElement)
+    _set_group(e, a.group)
+    _set_values(e, tuple(values))
+    return e
 
 
 def leq(a: GroupElement, b: GroupElement) -> bool:
     """Pointwise order."""
-    a._same_group(b)
-    return all(x <= y for x, y in zip(a.values, b.values))
+    if type(a) is not GroupElement or type(b) is not GroupElement or a.group is not b.group:
+        _check_pair(a, b)
+    for x, y in zip(a.values, b.values):
+        if x > y:
+            return False
+    return True
 
 
 # -- singular elements --------------------------------------------------------
 
 def is_singular(f: GroupElement) -> bool:
     """True iff every value is 0 or 1 (an indicator of a subset of points)."""
-    return all(v in (0, 1) for v in f.values)
+    for v in f.values:
+        if v != 0 and v != 1:
+            return False
+    return True
 
 
 def is_singular_definitional(s: GroupElement) -> bool:
@@ -235,13 +263,24 @@ def is_singular_definitional(s: GroupElement) -> bool:
 
     Checks s >= 0 and that a /\\ (s - a) = 0 for every element a with
     0 <= a <= s.  Exponential in the point count; intended for cross-checking
-    ``is_singular`` on small groups.
+    ``is_singular`` on small groups.  An s with a negative value is not
+    singular; otherwise more than ``HOM_LIMIT`` elements below s are refused
+    with SizeLimitError before the first one is built.
     """
-    if any(v < 0 for v in s.values):
-        return False
-    for combo in itertools.product(*(range(v + 1) for v in s.values)):
-        if any(min(a, sv - a) != 0 for a, sv in zip(combo, s.values)):
+    values = s.values
+    ranges = []
+    count = 1
+    for v in values:
+        if v < 0:
             return False
+        ranges.append(range(v + 1))
+        count *= v + 1
+    if count > HOM_LIMIT:
+        raise SizeLimitError(f"{count} elements below {values} exceed the limit of {HOM_LIMIT}")
+    for combo in itertools.product(*ranges):
+        for a, v in zip(combo, values):
+            if min(a, v - a) != 0:
+                return False
     return True
 
 
@@ -254,7 +293,11 @@ def support(s: GroupElement) -> frozenset[str]:
     """The set of points where a singular element equals 1."""
     if not is_singular(s):
         raise SchemaError(f"support is only defined for singular elements, got {s.values}")
-    return frozenset(l for l, v in zip(s.group.base.labels, s.values) if v == 1)
+    on = []
+    for label, v in zip(s.group.base.labels, s.values):
+        if v == 1:
+            on.append(label)
+    return frozenset(on)
 
 
 # -- ideals -------------------------------------------------------------------
@@ -412,7 +455,10 @@ def is_maximal_by_criterion(ideal: ClosedSetIdeal) -> bool:
         if size.values in searched:
             continue
         searched.add(size.values)
-        if not any(ideal.contains(join(u - n * size, zero)) for n in range(nmax + 1)):
+        for n in range(nmax + 1):
+            if ideal.contains(join(u - n * size, zero)):
+                break
+        else:
             return False
     return True
 
@@ -425,15 +471,20 @@ def hyperarch_witness(f: GroupElement, g: GroupElement) -> int:
     At a point with f_i > 0 the value min(n*f_i, g_i) stops growing exactly
     when n*f_i >= g_i; where f_i = 0 it is always 0.  So n is the largest
     ceil(g_i / f_i) over the points with f_i > 0, or 0 if there are none,
-    and at most the largest value of g.  g is tested as ``meet`` tests its
-    second argument; the sign test reads each vector's minimum once.
+    and at most the largest value of g.  f and g are tested as ``meet``
+    tests them.  One pass over the points raises n to ceil(g_i / f_i) where
+    n*f_i < g_i, after one sign test of f_i | g_i, which is negative iff
+    f_i or g_i is.
     """
-    if type(g) is not GroupElement or f.group is not g.group:
-        f._same_group(g)
-    fv, gv = f.values, g.values
-    if fv and (min(fv) < 0 or min(gv) < 0):
-        raise SchemaError("hyperarch_witness requires nonnegative elements")
-    return max([-(-b // a) for a, b in zip(fv, gv) if a], default=0)
+    if type(f) is not GroupElement or type(g) is not GroupElement or f.group is not g.group:
+        _check_pair(f, g)
+    n = 0
+    for a, b in zip(f.values, g.values):
+        if a | b < 0:
+            raise SchemaError("hyperarch_witness requires nonnegative elements")
+        if a and n * a < b:
+            n = -(-b // a)
+    return n
 
 
 # -- unital l-homomorphisms ---------------------------------------------------

@@ -7,6 +7,9 @@ fault.  A check that reports nothing under a fault it is meant to catch
 cannot tell a working library from a broken one.
 """
 
+import itertools
+import random
+
 import numpy
 import pytest
 
@@ -285,3 +288,42 @@ def test_run_laws_reports_a_gamma_fault_without_raising(monkeypatch, target, nam
     report = laws.run_laws(2, 3)
     assert not report["ok"]
     assert [c for c, entry in report["checks"].items() if entry["failures"]] == [GAMMA_CHECK]
+
+
+def functoriality_by_triples(spaces, sample=0, seed=0):
+    """``laws.check_functoriality`` as it was before it skipped empty
+    hom-sets: its composable pairs come from a walk over every triple
+    (x, y, z) of spaces."""
+    failures = []
+    homs = {(x, y): mspace.enumerate_homs(x, y) for x, y in itertools.product(spaces, repeat=2)}
+    pairs = []
+    for x, y, z in itertools.product(spaces, repeat=3):
+        pairs += itertools.product(homs[x, y], homs[y, z])
+    if sample and len(pairs) > sample:
+        rng = random.Random(seed)
+        pairs = rng.sample(pairs, sample)
+    seps = {z: duality.function_group(z).element(range(1, len(z) + 1)) for z in spaces}
+    images = {}
+    for f, g in pairs:
+        if g not in images:
+            sep = seps[g.cod]
+            inner = sgroup.apply_lhom(duality.dual_hom(g), sep)
+            images[g] = sep, inner, inner.values == tuple([k * sep.values[j] for j, k in g.rows])
+        sep, inner, scaled = images[g]
+        if not scaled:
+            failures.append(f"dual hom is not zeta * (s o g) at {g!r}")
+        outer = sgroup.apply_lhom(duality.dual_hom(f), inner)
+        if sgroup.apply_lhom(duality.dual_hom(mspace.compose(f, g)), sep) != outer:
+            failures.append(f"dual hom is not contravariant at {f!r};{g!r}")
+    return failures
+
+
+def test_functoriality_samples_the_pairs_of_the_triple_walk(monkeypatch, fresh_caches):
+    """Skipping empty hom-sets keeps the pair list and its order, so the
+    seeded sample, and the failures found in it under a fault, are those of
+    the walk over every triple."""
+    monkeypatch.setattr(sgroup, "apply_lhom", _apply_lhom_dropping_the_multiplier)
+    spaces = all_spaces(2, 3)
+    failures = laws.check_functoriality(spaces, sample=500, seed=3)
+    assert failures
+    assert failures == functoriality_by_triples(spaces, sample=500, seed=3)

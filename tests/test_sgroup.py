@@ -1,5 +1,6 @@
 import itertools
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -143,10 +144,43 @@ def test_is_singular_examples():
 
 
 def test_singular_tests_agree_small():
-    g = grp(2, 3)
-    for vals in itertools.product(range(-1, 4), repeat=2):
-        f = g.element(vals)
-        assert is_singular(f) == is_singular_definitional(f)
+    for g in all_groups(2, 3):
+        for f in box_elements(g, -1, 3):
+            assert is_singular(f) == is_singular_definitional(f), f
+
+
+@pytest.mark.parametrize("points", [17, 30])
+def test_singularity_oracle_refuses_a_large_box_before_enumerating(monkeypatch, points):
+    """Below the greatest singular of 17 points lie 2^17 elements, past
+    ``HOM_LIMIT``; 2^16 are not.  A negative value is still answered at
+    once, however many points there are."""
+    assert 2**16 <= HOM_LIMIT < 2**17
+    g = grp(*[1] * points)
+    monkeypatch.setattr(
+        sgroup, "itertools", SimpleNamespace(product=lambda *args: pytest.fail("enumeration started"))
+    )
+    with pytest.raises(SizeLimitError, match="exceed the limit"):
+        is_singular_definitional(greatest_singular(g))
+    assert not is_singular_definitional(g.element((1,) * (points - 1) + (-1,)))
+
+
+def test_lattice_kernels_are_the_pointwise_min_and_max():
+    for g in all_groups(2, 3):
+        for a, b in itertools.product(box_elements(g, 0, 3), repeat=2):
+            assert meet(a, b) == GroupElement(g, tuple(map(min, a.values, b.values)))
+            assert join(a, b) == GroupElement(g, tuple(map(max, a.values, b.values)))
+
+
+def test_hyperarch_witness_is_the_least_n_of_a_bounded_scan():
+    """The least n in 0..max(h) with n*f /\\ h = (n+1)*f /\\ h, over every pair
+    of elements with values in [0, 3] of every small group."""
+    for g in all_groups(2, 3):
+        for f, h in itertools.product(box_elements(g, 0, 3), repeat=2):
+            scan = [
+                n for n in range(max(h.values, default=0) + 1)
+                if meet(n * f, h) == meet((n + 1) * f, h)
+            ]
+            assert scan and hyperarch_witness(f, h) == scan[0], (f, h)
 
 
 def test_greatest_singular():
@@ -361,18 +395,25 @@ def test_hyperarch_witness_examples():
         hyperarch_witness(g.element((-1, 0)), u)
 
 
-@pytest.mark.parametrize("op", [meet, join, hyperarch_witness], ids=lambda op: op.__name__)
+@pytest.mark.parametrize("op", [meet, join, leq, hyperarch_witness], ids=lambda op: op.__name__)
 def test_element_kernels_test_their_second_argument(op):
-    """An element of an equal but distinct group object is accepted; one of
-    another group, or a value that is no element, is a SchemaError."""
+    """In either argument, an element of an equal but distinct group object
+    is accepted; one of another group, or a value that is no element, is a
+    SchemaError."""
     a = grp(1, 2).element((1, 2))
     twin = grp(1, 2).element((2, 1))
     assert twin.group is not a.group and twin.group == a.group
     assert op(a, twin) == op(a, a.group.element((2, 1)))
+    assert op(twin, a) == op(a.group.element((2, 1)), a)
+    other = grp(2, 1).element((2, 1))
     with pytest.raises(SchemaError, match="different groups"):
-        op(a, grp(2, 1).element((2, 1)))
+        op(a, other)
+    with pytest.raises(SchemaError, match="different groups"):
+        op(other, a)
     with pytest.raises(SchemaError, match="expected a group element"):
         op(a, 5)
+    with pytest.raises(SchemaError, match="expected a group element"):
+        op(5, a)
 
 
 def test_hyperarch_witness_refuses_a_negative_second_argument():
