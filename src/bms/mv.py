@@ -11,6 +11,9 @@ without materializing the element set.  The test oracle
 ``verify_mv_axioms_exhaustive`` enumerates the elements instead, builds its
 tables from their values and runs the same equation kernel on them, so the
 two differ only in the product decomposition.
+
+Element arguments go through ``sgroup``'s element guard, so they are
+refused with the same SchemaError as there.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import SchemaError, SizeLimitError
-from .sgroup import GroupElement, LHom, SpeckerGroup, apply_lhom, leq, meet
+from .sgroup import GroupElement, LHom, SpeckerGroup, _element, apply_lhom, leq, meet
 
 # numpy is imported by the three functions that build tables, so importing
 # ``bms`` (and every ``bms`` command that checks no MV axiom) does not load it.
@@ -31,7 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FiberComponent",
     "MVHom",
-    "unit_interval_hom",
     "mv_zero",
     "mv_top",
     "mv_plus",
@@ -65,12 +67,6 @@ class FiberComponent:
     n: int
 
 
-def _element(x: object) -> GroupElement:
-    if not isinstance(x, GroupElement):
-        raise SchemaError(f"{x!r} is not a group element")
-    return x
-
-
 def contains(group: SpeckerGroup, x: GroupElement) -> bool:
     """Whether x lies in Gamma(group); SchemaError if x is no group element."""
     return _element(x).group == group and leq(group.zero(), x) and leq(x, group.unit())
@@ -92,9 +88,7 @@ def mv_top(group: SpeckerGroup) -> GroupElement:
 def mv_plus(x: GroupElement, y: GroupElement) -> GroupElement:
     """Truncated addition (x + y) /\\ u."""
     _require_member(x)
-    _require_member(y)
-    if x.group != y.group:
-        raise SchemaError("operands belong to different algebras")
+    _require_member(_element(y, x.group))
     return meet(x + y, x.group.unit())
 
 
@@ -129,10 +123,6 @@ class MVHom:
         if not contains(self.lhom.dom, x):
             raise SchemaError("argument is outside the domain algebra")
         return apply_lhom(self.lhom, x)
-
-
-def unit_interval_hom(h: LHom) -> MVHom:
-    return MVHom(h)
 
 
 def verify_mv_axioms(group: SpeckerGroup) -> dict:

@@ -31,6 +31,12 @@ Only ``+``, ``-`` and scalar ``*`` can grow a value; each tests its result's
 extremes against the bound once and raises ``OverflowLimitError`` beyond it.
 No other module reaches ``_trusted``: ``tests/test_trusted_scope.py`` fails
 if one does.
+
+One private guard, ``_element``, decides whether an argument is an element
+and of which group; ``mv`` uses it too.  The per-case kernels ``meet``,
+``join``, ``leq``, ``hyperarch_witness``, ``ClosedSetIdeal.contains`` and
+``is_singular`` call it only when an inline test of the exact type and the
+group object fails.
 """
 
 from __future__ import annotations
@@ -143,18 +149,12 @@ class GroupElement:
     def value(self, label: str) -> int:
         return self.values[self.group.base.index(label)]
 
-    def _same_group(self, other: GroupElement) -> None:
-        if not isinstance(other, GroupElement):
-            raise SchemaError(f"expected a group element, got {other!r}")
-        if self.group is not other.group and self.group != other.group:
-            raise SchemaError("elements belong to different groups")
-
     def __add__(self, other: GroupElement) -> GroupElement:
-        self._same_group(other)
+        _element(other, self.group)
         return _bounded(self.group, tuple(map(operator.add, self.values, other.values)), "sum")
 
     def __sub__(self, other: GroupElement) -> GroupElement:
-        self._same_group(other)
+        _element(other, self.group)
         return _bounded(
             self.group, tuple(map(operator.sub, self.values, other.values)), "difference"
         )
@@ -181,6 +181,16 @@ _set_values = GroupElement.values.__set__
 _trusted = GroupElement._trusted
 
 
+def _element(x: object, group: SpeckerGroup | None = None) -> GroupElement:
+    """x, if it is a group element and, when ``group`` is given, an element
+    of that group or of an equal one; anything else is a SchemaError."""
+    if not isinstance(x, GroupElement):
+        raise SchemaError(f"expected a group element, got {x!r}")
+    if group is not None and x.group is not group and x.group != group:
+        raise SchemaError(f"{x!r} belongs to a different group than {group!r}")
+    return x
+
+
 def _bounded(group: SpeckerGroup, values: tuple[int, ...], context: str) -> GroupElement:
     """The element with the computed ``values``, after one test of their
     extremes against ``INT_LIMIT``; ``checked`` names a value beyond it."""
@@ -204,17 +214,12 @@ def box_elements(group: SpeckerGroup, lo: int, hi: int) -> Iterator[GroupElement
 
 # ``meet``, ``join``, ``leq`` and ``hyperarch_witness`` pass two elements of
 # the very same group object without further test; anything else goes
-# through ``_check_pair``, which accepts an equal group and refuses the rest.
-
-def _check_pair(a: GroupElement, b: GroupElement) -> None:
-    if not isinstance(a, GroupElement):
-        raise SchemaError(f"expected a group element, got {a!r}")
-    a._same_group(b)
+# through ``_element``, which accepts an equal group and refuses the rest.
 
 
 def meet(a: GroupElement, b: GroupElement) -> GroupElement:
     if type(a) is not GroupElement or type(b) is not GroupElement or a.group is not b.group:
-        _check_pair(a, b)
+        _element(b, _element(a).group)
     values = [*a.values]
     for i, v in enumerate(b.values):
         if v < values[i]:
@@ -227,7 +232,7 @@ def meet(a: GroupElement, b: GroupElement) -> GroupElement:
 
 def join(a: GroupElement, b: GroupElement) -> GroupElement:
     if type(a) is not GroupElement or type(b) is not GroupElement or a.group is not b.group:
-        _check_pair(a, b)
+        _element(b, _element(a).group)
     values = [*a.values]
     for i, v in enumerate(b.values):
         if v > values[i]:
@@ -241,7 +246,7 @@ def join(a: GroupElement, b: GroupElement) -> GroupElement:
 def leq(a: GroupElement, b: GroupElement) -> bool:
     """Pointwise order."""
     if type(a) is not GroupElement or type(b) is not GroupElement or a.group is not b.group:
-        _check_pair(a, b)
+        _element(b, _element(a).group)
     for x, y in zip(a.values, b.values):
         if x > y:
             return False
@@ -252,6 +257,8 @@ def leq(a: GroupElement, b: GroupElement) -> bool:
 
 def is_singular(f: GroupElement) -> bool:
     """True iff every value is 0 or 1 (an indicator of a subset of points)."""
+    if type(f) is not GroupElement:
+        _element(f)
     for v in f.values:
         if v != 0 and v != 1:
             return False
@@ -267,7 +274,7 @@ def is_singular_definitional(s: GroupElement) -> bool:
     singular; otherwise more than ``HOM_LIMIT`` elements below s are refused
     with SizeLimitError before the first one is built.
     """
-    values = s.values
+    values = _element(s).values
     ranges = []
     count = 1
     for v in values:
@@ -332,8 +339,8 @@ class ClosedSetIdeal:
         object.__setattr__(self, "_zero_indices", indices)
 
     def contains(self, g: GroupElement) -> bool:
-        if g.group is not self.group and g.group != self.group:
-            raise SchemaError("element belongs to a different group")
+        if type(g) is not GroupElement or g.group is not self.group:
+            _element(g, self.group)
         values = g.values
         for i in self._zero_indices:
             if values[i]:
@@ -352,13 +359,13 @@ def residue(m: ClosedSetIdeal, g: GroupElement) -> int:
     Computed by evaluation at the ideal's one zero; agrees with the
     membership scan of ``residue_by_ideal_scan``.
     """
-    return g.values[_one_zero_index(m, g)]
+    i = _one_zero_index(m, g)
+    return g.values[i]
 
 
 def _one_zero_index(m: ClosedSetIdeal, g: GroupElement) -> int:
     """The index of m's one zero, refusing g from another group or m not maximal."""
-    if g.group != m.group:
-        raise SchemaError("element belongs to a different group")
+    _element(g, m.group)
     if len(m._zero_indices) != 1:
         raise SchemaError(f"residue is only defined at a one-point zero set, got {sorted(m.zeroset)}")
     return m._zero_indices[0]
@@ -391,7 +398,7 @@ def residues(g: GroupElement) -> dict[ClosedSetIdeal, int]:
 
     The residue is 0 exactly at the ideals containing g.
     """
-    return {m: residue(m, g) for m in maxspec(g.group)}
+    return {m: residue(m, g) for m in maxspec(_element(g).group)}
 
 
 def ideal_from_zeroset(group: SpeckerGroup, zeroset: Iterable[str]) -> ClosedSetIdeal:
@@ -405,8 +412,7 @@ def zeroset_from_ideal(group: SpeckerGroup, generators: Sequence[GroupElement]) 
     """
     zero = set(group.base.labels)
     for g in generators:
-        if g.group != group:
-            raise SchemaError("generator belongs to a different group")
+        _element(g, group)
         zero &= {l for l in group.base.labels if g.value(l) == 0}
     return ClosedSetIdeal(group, frozenset(zero))
 
@@ -477,7 +483,7 @@ def hyperarch_witness(f: GroupElement, g: GroupElement) -> int:
     f_i or g_i is.
     """
     if type(f) is not GroupElement or type(g) is not GroupElement or f.group is not g.group:
-        _check_pair(f, g)
+        _element(g, _element(f).group)
     n = 0
     for a, b in zip(f.values, g.values):
         if a | b < 0:
@@ -559,9 +565,7 @@ def validate_lhom(
 
 def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
     """The image k * f[c] at each codomain point, for its row (c, k)."""
-    if f.group != h.dom:
-        raise SchemaError("element does not live in the homomorphism's domain")
-    values = f.values
+    values = _element(f, h.dom).values
     return _bounded(h.cod, tuple([k * values[c] for c, k in h.rows]), "image value")
 
 

@@ -27,7 +27,6 @@ from bms.mv import (
     mv_top,
     mv_zero,
     MVHom,
-    unit_interval_hom,
     verify_mv_axioms,
     verify_mv_axioms_exhaustive,
 )
@@ -178,7 +177,7 @@ def test_unit_interval_hom_preserves_structure():
     dom = function_group(new_space(["y1", "y2"], [1, 2]))
     cod = function_group(new_space(["x1", "x2"], [2, 2]))
     for lhom in enumerate_lhoms(dom, cod):
-        h = unit_interval_hom(lhom)
+        h = MVHom(lhom)
         da, ca = h.lhom.dom, h.lhom.cod
         assert h(mv_zero(da)) == mv_zero(ca)
         assert h(mv_top(da)) == mv_top(ca)
@@ -199,7 +198,7 @@ def test_a_value_that_is_no_group_element_is_refused(value):
         lambda: mv_neg(value),
         lambda: h(value),
     ]:
-        with pytest.raises(SchemaError, match="is not a group element"):
+        with pytest.raises(SchemaError, match="expected a group element"):
             call()
 
 
@@ -210,7 +209,6 @@ def test_mv_hom_is_its_lhom():
     cod = function_group(new_space(["x1", "x2"], [2, 2]))
     other = function_group(new_space(["z"], [3]))
     for lhom in enumerate_lhoms(dom, cod):
-        assert unit_interval_hom(lhom) == MVHom(lhom)
         with pytest.raises(TypeError):
             MVHom(other, other, lhom)
         with pytest.raises(TypeError):
@@ -252,7 +250,7 @@ def test_every_small_mv_hom_is_a_dual_image():
         ea, eb = list(elements(a)), list(elements(b))
         dual_images = set()
         for lhom in enumerate_lhoms(a, b):
-            h = unit_interval_hom(lhom)
+            h = MVHom(lhom)
             dual_images.add(tuple(h(x).values for x in ea))
         found = set()
         for tgt in itertools.product(eb, repeat=len(ea)):

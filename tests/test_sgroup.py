@@ -406,14 +406,59 @@ def test_element_kernels_test_their_second_argument(op):
     assert op(a, twin) == op(a, a.group.element((2, 1)))
     assert op(twin, a) == op(a.group.element((2, 1)), a)
     other = grp(2, 1).element((2, 1))
-    with pytest.raises(SchemaError, match="different groups"):
+    with pytest.raises(SchemaError, match="belongs to a different group"):
         op(a, other)
-    with pytest.raises(SchemaError, match="different groups"):
+    with pytest.raises(SchemaError, match="belongs to a different group"):
         op(other, a)
     with pytest.raises(SchemaError, match="expected a group element"):
         op(a, 5)
     with pytest.raises(SchemaError, match="expected a group element"):
         op(5, a)
+
+
+@pytest.mark.parametrize("value", [3, None, (1,), "x"])
+def test_a_value_that_is_no_group_element_is_refused(value):
+    """Each entry point that takes an element refuses anything else with the
+    element guard's SchemaError, not a bare AttributeError."""
+    g = grp(1, 2)
+    m = maxspec(g)[0]
+    h = identity_lhom(g)
+    for call in [
+        lambda: m.contains(value),
+        lambda: residue(m, value),
+        lambda: residue_by_ideal_scan(m, value),
+        lambda: residues(value),
+        lambda: support(value),
+        lambda: is_singular(value),
+        lambda: is_singular_definitional(value),
+        lambda: apply_lhom(h, value),
+        lambda: zeroset_from_ideal(g, [value]),
+    ]:
+        with pytest.raises(SchemaError, match="expected a group element"):
+            call()
+
+
+def test_an_element_of_another_group_is_refused():
+    """An element of an equal but distinct group object is accepted where an
+    element of g is expected; one of another group is refused with the one
+    mismatch message."""
+    g = grp(1, 2)
+    m = maxspec(g)[0]
+    h = identity_lhom(g)
+    twin = grp(1, 2).element((0, 2))
+    assert twin.group is not g and twin.group == g
+    assert m.contains(twin) and residue(m, twin) == 0
+    assert apply_lhom(h, twin) == g.element((0, 2))
+    assert zeroset_from_ideal(g, [twin]) == m
+    other = grp(2, 1).element((0, 2))
+    for call in [
+        lambda: m.contains(other),
+        lambda: residue(m, other),
+        lambda: apply_lhom(h, other),
+        lambda: zeroset_from_ideal(g, [other]),
+    ]:
+        with pytest.raises(SchemaError, match="belongs to a different group"):
+            call()
 
 
 def test_hyperarch_witness_refuses_a_negative_second_argument():
