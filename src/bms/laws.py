@@ -266,13 +266,16 @@ def check_limit_law(
     """Binary products: LCM multiplicities, valid projections, and the
     universal property against every test apex.
 
-    The components of apex point k are read from row k of each leg.
+    The two components of each apex point are read from its rows of the two
+    legs, taken side by side.
     """
     failures = []
     for x, y in itertools.combinations_with_replacement(spaces, 2):
         cone = limits.product(x, y)
-        for k, (label, m) in enumerate(zip(cone.apex.labels, cone.apex.mults)):
-            comps = [obj.mults[leg.rows[k][0]] for leg, obj in zip(cone.legs, (x, y))]
+        apex, (left, right) = cone.apex, cone.legs
+        xm, ym = x.mults, y.mults
+        for label, m, (i, _), (j, _) in zip(apex.labels, apex.mults, left.rows, right.rows):
+            comps = [xm[i], ym[j]]
             if m != checked_lcm(comps):
                 failures.append(f"multiplicity law fails at {label} of {x!r}x{y!r}")
             for n in comps:

@@ -4,6 +4,8 @@ Limit apexes are compatible tuples of points; the apex multiplicity is the
 least common multiple of the component multiplicities.  ``limit`` extends
 partial tuples object by object, so that an arrow cuts the scan instead of
 filtering the whole product; a diagram without arrows is the plain product.
+Its size cap counts only the objects whose point no earlier object fixes,
+as those are the only ones that multiply the scan.
 It tests each LCM once against ``INT_LIMIT`` and builds the apex with the
 checked ``MultiSpace`` constructor, which refuses a repeated tuple label,
 as labels containing commas can produce.  Its legs, whose multipliers are
@@ -11,8 +13,10 @@ lcm // m, are the one use of ``BmsMorphism._trusted`` outside ``mspace``:
 they are not checked again, so a wrong multiplicity in the apex reaches
 ``laws.check_limit_law`` as a failed law instead of stopping the sweep.
 ``verify_universal`` checks their universal property at one-point spaces,
-which decides it at every test apex; its ``cones`` counts the cones from
-the test apexes.
+which decides it at every test apex.  The probe of multiplicity m is the
+first one-point test apex of multiplicity m, or, when no test apex is one,
+the space t:m built for the call; a violation names its probe.  Its
+``cones`` counts the cones from the test apexes.
 Coproducts are disjoint unions, with prefixed labels that cannot collide.
 Products and coproducts of Specker groups are obtained through the
 duality, and are the same ``Cone`` and ``Cocone`` in the group category:
@@ -32,6 +36,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import lcm
+from operator import attrgetter
 from typing import Sequence
 
 from .duality import dual_hom, function_group
@@ -61,7 +66,6 @@ __all__ = [
     "product",
     "equalizer",
     "pullback",
-    "terminal",
     "coproduct",
     "initial",
     "verify_universal",
@@ -105,10 +109,6 @@ class Cocone:
     injections: tuple[BmsMorphism, ...] | tuple[LHom, ...]
 
 
-def _tuple_label(labels: Sequence[str]) -> str:
-    return "(" + ",".join(labels) + ")"
-
-
 def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
     """The point-index tuples c with rows[c[s]][0] == c[t] for every arrow
     (s, t, rows) of the diagram, in lexicographic order.
@@ -118,39 +118,57 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
     point, so the first such arrow chooses it; then each arrow ending at k
     (into k, out of k into an earlier object, or a self-loop) filters the
     extended tuples.  A diagram without arrows is the whole product.
+
+    Only the choice of an unfixed object's point multiplies the tuples, so
+    the product of those objects' sizes bounds every step: above
+    ``HOM_LIMIT`` it raises SizeLimitError before any tuple is built.
     """
     objs = diagram.objects
+    choices = list(map(len, objs))  # the points each tuple may extend by
+    fixing: dict[int, tuple[int, tuple]] = {}
+    for s, t, m in diagram.arrows:
+        if s < t and t not in fixing:
+            fixing[t] = (s, m.rows)
+            choices[t] = 1
+    count = math.prod(choices)
+    if count > HOM_LIMIT:
+        raise SizeLimitError(f"{count} point tuples exceed the limit of {HOM_LIMIT}")
     if not diagram.arrows:
-        return list(itertools.product(*(range(len(o)) for o in objs)))
+        return list(itertools.product(*map(range, choices)))
     tuples: list[tuple[int, ...]] = [()]
     for k, obj in enumerate(objs):
-        due = [(s, t, m.rows) for s, t, m in diagram.arrows if max(s, t) == k]
-        fixing = [(s, rows) for s, t, rows in due if s < t]
-        if fixing:
-            s0, rows0 = fixing[0]
+        if k in fixing:
+            s0, rows0 = fixing[k]
             tuples = [c + (rows0[c[s0]][0],) for c in tuples]
         else:
             tuples = [c + (i,) for c in tuples for i in range(len(obj))]
-        for s, t, rows in due:
-            tuples = [c for c in tuples if rows[c[s]][0] == c[t]]
+        for s, t, m in diagram.arrows:
+            if max(s, t) == k:
+                rows = m.rows
+                tuples = [c for c in tuples if rows[c[s]][0] == c[t]]
     return tuples
+
+
+_item = tuple.__getitem__
 
 
 def limit(diagram: Diagram) -> Cone:
     """The limit cone: compatible point tuples with LCM multiplicities.
 
     Apex points are ordered lexicographically over the canonical component
-    orders; legs are the projections.  Above ``HOM_LIMIT`` point tuples it
-    raises SizeLimitError before scanning any, and OverflowLimitError when
-    an LCM exceeds ``INT_LIMIT``.
+    orders; legs are the projections.  It raises SizeLimitError before
+    scanning any tuple when the product of the sizes of the objects whose
+    point no arrow from an earlier object fixes exceeds ``HOM_LIMIT``; with
+    no arrows, that is every object.  It raises OverflowLimitError when an
+    LCM exceeds ``INT_LIMIT``.  The empty diagram gives the terminal
+    object: one point of multiplicity 1, and no legs.
     """
     objs = diagram.objects
-    count = math.prod(len(o) for o in objs)
-    if count > HOM_LIMIT:
-        raise SizeLimitError(f"{count} point tuples exceed the limit of {HOM_LIMIT}")
     components = _compatible_tuples(diagram)
-    points = tuple([_tuple_label([o.labels[i] for o, i in zip(objs, c)]) for c in components])
-    mults = tuple([lcm(*[o.mults[i] for o, i in zip(objs, c)]) for c in components])
+    labels = [o.labels for o in objs]
+    points = tuple(["(" + ",".join(map(_item, labels, c)) + ")" for c in components])
+    mults_of = [o.mults for o in objs]
+    mults = tuple([lcm(*map(_item, mults_of, c)) for c in components])
     if max(mults, default=1) > INT_LIMIT:
         over = next(p for p, m in zip(points, mults) if m > INT_LIMIT)
         raise OverflowLimitError(f"lcm at point {over} exceeds the 64-bit bound")
@@ -168,11 +186,6 @@ def limit(diagram: Diagram) -> Cone:
 
 def product(x: MultiSpace, y: MultiSpace) -> Cone:
     return limit(Diagram((x, y)))
-
-
-def terminal() -> Cone:
-    """Limit of the empty diagram: one point of multiplicity 1, no legs."""
-    return limit(Diagram(()))
 
 
 def equalizer(f: BmsMorphism, g: BmsMorphism) -> Cone:
@@ -209,11 +222,16 @@ def _homs(dom: MultiSpace, cod: MultiSpace) -> tuple[BmsMorphism, ...]:
 def _cones_from(apex: MultiSpace, diagram: Diagram) -> list[tuple[BmsMorphism, ...]]:
     """All commuting leg families from a test apex over the diagram."""
     legsets = [_homs(apex, obj) for obj in diagram.objects]
+    if not diagram.arrows:
+        return list(itertools.product(*legsets))
     out = []
     for legs in itertools.product(*legsets):
         if all(compose_rows(legs[s].rows, m.rows) == legs[t].rows for s, t, m in diagram.arrows):
             out.append(legs)
     return out
+
+
+_rows = attrgetter("rows")
 
 
 def verify_universal(
@@ -225,27 +243,44 @@ def verify_universal(
     morphism into the candidate apex commuting with the legs.  As Hom(T, L) =
     prod_{t in T} Hom({t}, L), this holds at T iff it holds at the one-point
     space of each multiplicity of T: it is checked there once, and reported
-    for the multiplicities of test apexes with a cone.  ``cones`` counts the
-    cones from the test apexes: sum over T of prod over t in T of cones({t}).
+    for the multiplicities of test apexes with a cone.  The one-point space
+    of multiplicity m, the probe, is the first one-point test apex of
+    multiplicity m, and the space t:m only when no test apex is one; each
+    violation names its probe.  ``cones`` counts the cones from the test
+    apexes: sum over T of prod over t in T of cones({t}).
     """
-    found: dict[int, tuple[int, list[str]]] = {}
+    probes = {t.mults[0]: t for t in reversed(test_apexes) if len(t.mults) == 1}
+    apex_mults, legs = candidate.apex.mults, candidate.legs
+    ncones: dict[int, int] = {}
+    found: dict[int, list[str]] = {}
     for m in sorted({tm for t in test_apexes for tm in t.mults}):
-        point = MultiSpace(("t",), (m,))
+        point = probes.get(m)
+        if point is None:
+            point = MultiSpace(("t",), (m,))
+        # Each mediator's key is its composite with every leg, built one leg
+        # at a time: plain loops, as a comprehension builds a frame per call.
         mediators: dict[tuple, int] = {}
-        for row in hom_factors((m,), candidate.apex.mults)[0]:
-            key = tuple([compose_rows((row,), leg.rows) for leg in candidate.legs])
+        for row in hom_factors((m,), apex_mults)[0]:
+            key: tuple = ()
+            for leg in legs:
+                key += (compose_rows((row,), leg.rows),)
             mediators[key] = mediators.get(key, 0) + 1
         cones = _cones_from(point, diagram)
         messages = []
-        for legs in cones:
-            n = mediators.get(tuple([l.rows for l in legs]), 0)
+        for cone in cones:
+            n = mediators.get(tuple(map(_rows, cone)), 0)
             if n != 1:
                 what = f"{n} mediating morphisms" if n else "no mediating morphism"
-                messages.append(f"{what} from {point!r} for cone {[l.targets for l in legs]}")
-        found[m] = (len(cones), messages)
-    counts = [math.prod(found[tm][0] for tm in t.mults) for t in test_apexes]
-    decided = sorted({tm for t, n in zip(test_apexes, counts) if n for tm in t.mults})
-    return {"cones": sum(counts), "violations": [v for m in decided for v in found[m][1]]}
+                messages.append(f"{what} from {point!r} for cone {[l.targets for l in cone]}")
+        ncones[m] = len(cones)
+        found[m] = messages
+    total, decided = 0, set()
+    for t in test_apexes:
+        n = math.prod(map(ncones.__getitem__, t.mults))
+        if n:
+            total += n
+            decided.update(t.mults)
+    return {"cones": total, "violations": [v for m in sorted(decided) for v in found[m]]}
 
 
 def verify_couniversal(candidate: Cocone, test_apexes: Sequence[MultiSpace]) -> dict:

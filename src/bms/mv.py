@@ -34,8 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FiberComponent",
     "MVHom",
-    "mv_zero",
-    "mv_top",
     "mv_plus",
     "mv_neg",
     "elements",
@@ -75,14 +73,6 @@ def contains(group: SpeckerGroup, x: GroupElement) -> bool:
 def _require_member(x: GroupElement) -> None:
     if not contains(_element(x).group, x):
         raise SchemaError(f"{x.values} is outside the unit interval {x.group.base.mults}")
-
-
-def mv_zero(group: SpeckerGroup) -> GroupElement:
-    return group.zero()
-
-
-def mv_top(group: SpeckerGroup) -> GroupElement:
-    return group.unit()
 
 
 def mv_plus(x: GroupElement, y: GroupElement) -> GroupElement:

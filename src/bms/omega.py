@@ -31,7 +31,6 @@ __all__ = [
     "ec_neg",
     "ec_meet",
     "ec_join",
-    "ec_scalar_mul",
     "ec_is_singular",
     "const",
     "indicator",
@@ -134,11 +133,6 @@ def ec_meet(a: ECSeq, b: ECSeq) -> ECSeq:
 
 def ec_join(a: ECSeq, b: ECSeq) -> ECSeq:
     return _zip_with(a, b, max)
-
-
-def ec_scalar_mul(k: int, a: ECSeq) -> ECSeq:
-    checked(k, "scalar")
-    return ECSeq(tuple(k * v for v in a.prefix), k * a.tail)
 
 
 def ec_is_singular(a: ECSeq) -> bool:

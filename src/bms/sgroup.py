@@ -36,7 +36,10 @@ One private guard, ``_element``, decides whether an argument is an element
 and of which group; ``mv`` uses it too.  The per-case kernels ``meet``,
 ``join``, ``leq``, ``hyperarch_witness``, ``ClosedSetIdeal.contains`` and
 ``is_singular`` call it only when an inline test of the exact type and the
-group object fails.
+group object fails.  The ideal of ``residue`` and ``residue_by_ideal_scan``,
+the map of ``apply_lhom`` and the generators of ``zeroset_from_ideal`` are
+refused with a SchemaError too when they are no ideal, no ``LHom`` or no
+sequence.
 """
 
 from __future__ import annotations
@@ -364,7 +367,10 @@ def residue(m: ClosedSetIdeal, g: GroupElement) -> int:
 
 
 def _one_zero_index(m: ClosedSetIdeal, g: GroupElement) -> int:
-    """The index of m's one zero, refusing g from another group or m not maximal."""
+    """The index of m's one zero, refusing an m that is no maximal ideal and
+    a g from another group."""
+    if not isinstance(m, ClosedSetIdeal):
+        raise SchemaError(f"expected an ideal, got {m!r}")
     _element(g, m.group)
     if len(m._zero_indices) != 1:
         raise SchemaError(f"residue is only defined at a one-point zero set, got {sorted(m.zeroset)}")
@@ -410,6 +416,12 @@ def zeroset_from_ideal(group: SpeckerGroup, generators: Sequence[GroupElement]) 
 
     With no generators this is the zero ideal (all points vanish).
     """
+    try:
+        generators = tuple(generators)
+    except TypeError:
+        raise SchemaError(
+            f"generators must be a sequence of group elements, got {generators!r}"
+        ) from None
     zero = set(group.base.labels)
     for g in generators:
         _element(g, group)
@@ -565,6 +577,8 @@ def validate_lhom(
 
 def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
     """The image k * f[c] at each codomain point, for its row (c, k)."""
+    if not isinstance(h, LHom):
+        raise SchemaError(f"expected an l-homomorphism, got {h!r}")
     values = _element(f, h.dom).values
     return _bounded(h.cod, tuple([k * values[c] for c, k in h.rows]), "image value")
 

@@ -183,6 +183,21 @@ def test_coproduct_equalizer_pullback(tmp_path, capsys):
     assert len(json.loads(out)["apex"]["points"]) == 4
 
 
+def test_equalizer_below_the_limit_of_tuples_it_extends(tmp_path, capsys):
+    # f and g map 400 points to 400 and agree on the even ones: the product
+    # has 160,000 point tuples, the scan extends 400
+    dom = {"points": [{"label": f"x{i}", "mult": 1} for i in range(400)]}
+    cod = {"points": [{"label": f"y{i}", "mult": 1} for i in range(400)]}
+    f_map = {f"x{i}": f"y{i}" for i in range(400)}
+    g_map = {f"x{i}": f"y{i - i % 2}" for i in range(400)}
+    f = write(tmp_path, "f.json", {"dom": dom, "cod": cod, "map": f_map})
+    g = write(tmp_path, "g.json", {"dom": dom, "cod": cod, "map": g_map})
+    code, out, _ = run(capsys, "equalizer", f, g)
+    assert code == 0
+    points = json.loads(out)["apex"]["points"]
+    assert [p["label"] for p in points] == [f"(x{i},y{i})" for i in range(0, 400, 2)]
+
+
 def test_limit_diagram(tmp_path, capsys):
     diagram = {
         "objects": [

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from bms.duality import dual_hom, function_group
-from bms.errors import OverflowLimitError, SchemaError
+from bms import limits
+from bms.errors import OverflowLimitError, SchemaError, SizeLimitError
 from bms.ints import INT_LIMIT, checked_lcm
 from bms.laws import all_spaces, check_duality_exchange, check_limit_law
 from bms.limits import (
@@ -18,12 +19,12 @@ from bms.limits import (
     limit,
     product,
     pullback,
-    terminal,
     verify_couniversal,
     verify_universal,
 )
 from bms.mspace import (
     BmsMorphism,
+    MultiSpace,
     compose,
     enumerate_homs,
     is_isomorphism,
@@ -39,7 +40,7 @@ def test_product_of_singletons_is_lcm():
 
 
 def test_empty_diagram_gives_terminal():
-    cone = terminal()
+    cone = limit(Diagram(()))
     assert cone.apex.mults == (1,) and len(cone.apex) == 1
     assert cone.legs == ()
 
@@ -84,6 +85,35 @@ def test_equalizer_requires_parallel_pair():
     g = new_morphism(dom, other, {"x": "z"})
     with pytest.raises(SchemaError):
         equalizer(f, g)
+
+
+def _maps_agreeing_on_the_even_points(n):
+    """f: x_i -> y_i and g: x_i -> y_(i - i % 2) between two n-point spaces."""
+    dom = new_space([f"x{i}" for i in range(n)], [1] * n)
+    cod = new_space([f"y{i}" for i in range(n)], [1] * n)
+    f = new_morphism(dom, cod, {f"x{i}": f"y{i}" for i in range(n)})
+    g = new_morphism(dom, cod, {f"x{i}": f"y{i - i % 2}" for i in range(n)})
+    return f, g
+
+
+def test_equalizer_is_bounded_by_the_tuples_it_extends():
+    # The product has 400 x 400 = 160,000 point tuples, above HOM_LIMIT, but
+    # f fixes the codomain point of each, so the scan extends only 400.
+    f, g = _maps_agreeing_on_the_even_points(400)
+    cone = equalizer(f, g)
+    assert cone.apex.labels == tuple(f"(x{i},y{i})" for i in range(0, 400, 2))
+    assert cone.legs[0].targets == tuple(f"x{i}" for i in range(0, 400, 2))
+
+
+def test_limit_refusal_counts_the_objects_no_arrow_fixes():
+    obj = new_space([f"p{i}" for i in range(12)], [1] * 12)
+    with pytest.raises(SizeLimitError, match=r"^248832 point tuples exceed the limit of 100000$"):
+        limit(Diagram((obj,) * 5))
+    # Over one point: the 317 x 317 = 100,489 pairs of the two sides.
+    x = new_space([f"x{i}" for i in range(317)], [1] * 317)
+    f = new_morphism(x, new_space(["t"], [1]), {l: "t" for l in x.labels})
+    with pytest.raises(SizeLimitError, match=r"^100489 point tuples exceed the limit of 100000$"):
+        pullback(f, f)
 
 
 def test_pullback_over_terminal_is_product():
@@ -222,7 +252,7 @@ def test_named_limits_match_full_product_scan():
     spaces = all_spaces(2, 3)
     for x, y in itertools.product(spaces, repeat=2):
         assert product(x, y) == _assert_limit_is_naive(Diagram((x, y)))
-    assert terminal() == _assert_limit_is_naive(Diagram(()))
+    assert limit(Diagram(())) == _assert_limit_is_naive(Diagram(()))
     for x, y in itertools.product(all_spaces(2, 2), repeat=2):
         for f, g in itertools.product(enumerate_homs(x, y), repeat=2):
             assert equalizer(f, g) == _assert_limit_is_naive(Diagram((x, y), ((0, 1, f), (0, 1, g))))
@@ -351,15 +381,57 @@ def test_verify_universal_reports_only_what_a_test_apex_decides():
     assert verify_universal(dup, diagram, apexes) == {"cones": 0, "violations": []}
     report = verify_universal(dup, diagram, [new_space(["p1"], [2])])
     assert report["cones"] == 1 and report["violations"] == [
-        "2 mediating morphisms from MultiSpace(t:2) for cone [('a',), ('b',)]"
+        "2 mediating morphisms from MultiSpace(p1:2) for cone [('a',), ('b',)]"
     ]
 
 
 def test_verify_universal_empty_diagram():
     apexes = all_spaces(2, 2)
-    report = verify_universal(terminal(), Diagram(()), apexes)
+    report = verify_universal(limit(Diagram(())), Diagram(()), apexes)
     assert report["violations"] == []
     assert report["cones"] == len(apexes)
+
+
+def _spaces_built_by_limits(monkeypatch):
+    """The spaces that ``limits`` builds from here on, in order."""
+    built = []
+
+    def counted(*args):
+        built.append(MultiSpace(*args))
+        return built[-1]
+
+    monkeypatch.setattr(limits, "MultiSpace", counted)
+    return built
+
+
+def test_verify_universal_probes_with_the_one_point_test_apexes(monkeypatch):
+    x, y = new_space(["a", "b"], [1, 2]), new_space(["c"], [3])
+    cone, diagram = product(x, y), Diagram((x, y))
+    apexes = all_spaces(2, 3)
+    built = _spaces_built_by_limits(monkeypatch)
+    report = verify_universal(cone, diagram, apexes)
+    assert report == {"cones": _naive_cone_count(diagram, apexes), "violations": []}
+    assert built == []
+
+
+def test_verify_universal_builds_one_probe_per_multiplicity_without_one(monkeypatch):
+    x, y = new_space(["a", "b"], [1, 2]), new_space(["c"], [3])
+    cone, diagram = product(x, y), Diagram((x, y))
+    apexes = [new_space(["p1", "p2"], [2, 3]), new_space(["p1"], [2]), new_space(["q1", "q2"], [4, 3])]
+    built = _spaces_built_by_limits(monkeypatch)
+    report = verify_universal(cone, diagram, apexes)
+    assert report == {"cones": _naive_cone_count(diagram, apexes), "violations": []}
+    assert built == [new_space(["t"], [3]), new_space(["t"], [4])]
+
+    # a violation names the probe built for its multiplicity
+    a2, b2 = new_space(["a"], [2]), new_space(["b"], [2])
+    dup = next(c for c in _with_a_point_duplicated_or_dropped(product(a2, b2)) if len(c.apex) == 2)
+    del built[:]
+    report = verify_universal(dup, Diagram((a2, b2)), [new_space(["p1", "p2"], [2, 2])])
+    assert built == [new_space(["t"], [2])]
+    assert report["cones"] == 1 and report["violations"] == [
+        "2 mediating morphisms from MultiSpace(t:2) for cone [('a',), ('b',)]"
+    ]
 
 
 def test_verify_couniversal_coproduct():

@@ -438,6 +438,25 @@ def test_a_value_that_is_no_group_element_is_refused(value):
             call()
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda g, e: residue(5, e), "expected an ideal"),
+        (lambda g, e: residue_by_ideal_scan(5, e), "expected an ideal"),
+        (lambda g, e: apply_lhom(5, e), "expected an l-homomorphism"),
+        (lambda g, e: zeroset_from_ideal(g, 5), "generators must be a sequence"),
+    ],
+    ids=["residue", "residue_by_ideal_scan", "apply_lhom", "zeroset_from_ideal"],
+)
+def test_an_argument_beside_the_element_of_the_wrong_kind_is_refused(call, match):
+    """The ideal, the l-homomorphism or the generator sequence that comes
+    with an element is refused with a SchemaError, not a bare
+    AttributeError or TypeError."""
+    g = grp(1, 2)
+    with pytest.raises(SchemaError, match=match):
+        call(g, g.element((1, 0)))
+
+
 def test_an_element_of_another_group_is_refused():
     """An element of an equal but distinct group object is accepted where an
     element of g is expected; one of another group is refused with the one
