@@ -16,7 +16,7 @@ import random
 from typing import Callable, NamedTuple, Sequence
 
 from . import duality, limits, mv, omega, sgroup
-from .errors import SchemaError, SizeLimitError
+from .errors import DivisibilityError, SchemaError, SizeLimitError
 from .ints import checked_lcm, require_int
 from .mspace import (
     MultiSpace,
@@ -162,49 +162,46 @@ def check_category_laws(
 
 
 def check_round_trip(spaces: Sequence[MultiSpace]) -> list[str]:
-    """Spectrum of the function group is isomorphic to the space, and both
-    triangle identities hold (on the space and on its group)."""
+    """The spectrum of each space's function group has the space's
+    multiplicities, and both triangle identities hold (on the space and on
+    its group).  The unit eta has identity rows into that cached spectrum,
+    so it is an isomorphism exactly when the multiplicities agree, and is
+    not tested again.  A space whose spectrum differs is reported, and its
+    eta, whose checked rows would raise, is not built."""
     failures = []
     for x in spaces:
-        eta = duality.unit_iso(x)
-        back = duality.spectrum_space(duality.function_group(x))
-        if not is_isomorphism(eta) or eta.cod != back:
+        group = duality.function_group(x)
+        if duality.spectrum_space(group).mults != x.mults:
             failures.append(f"round trip fails for {x!r}")
-        if eta.zetas != (1,) * len(x):
-            failures.append(f"unit witness does not preserve multiplicities on {x!r}")
+            continue
         if not duality.triangle_identities_space(x):
             failures.append(f"space triangle identity fails for {x!r}")
-        if not duality.triangle_identities_group(duality.function_group(x)):
+        if not duality.triangle_identities_group(group):
             failures.append(f"group triangle identity fails for {x!r}")
     return failures
 
 
 def check_naturality(spaces: Sequence[MultiSpace]) -> list[str]:
-    """The unit square commutes for every enumerated morphism, and the
-    counit square for its dual homomorphism.
+    """The unit square commutes for every enumerated morphism.
 
-    The unit and counit isomorphisms are fetched once per pair of spaces
-    with a morphism, and each morphism's spectrum map is built once, for
-    both squares.
+    The counit is the dual of the unit's inverse and ``spectrum_map`` keeps
+    psi's rows, so the counit square would compare the same two row tuples
+    again.  Each pair's units are fetched once, and the pair is skipped when
+    they cannot be built, as ``check_round_trip`` reports the space.
     """
     failures = []
     for x, y in itertools.product(spaces, repeat=2):
         homs = enumerate_homs(x, y)
         if not homs:
             continue
-        eta_x, eta_y = duality.unit_iso(x), duality.unit_iso(y)
-        # every psi = dual_hom(gamma) goes from function_group(y) to function_group(x)
-        eps_x = duality.counit_iso(duality.function_group(x))
-        eps_y = duality.counit_iso(duality.function_group(y))
+        try:
+            eta_x, eta_y = duality.unit_iso(x), duality.unit_iso(y)
+        except DivisibilityError:
+            continue
         for gamma in homs:
-            psi = duality.dual_hom(gamma)
-            spec = duality.spectrum_map(psi)
+            spec = duality.spectrum_map(duality.dual_hom(gamma))
             if compose(gamma, eta_y) != compose(eta_x, spec):
                 failures.append(f"unit naturality fails for {gamma!r}")
-            left = sgroup.compose_lhom(psi, eps_x)
-            right = sgroup.compose_lhom(eps_y, duality.dual_hom(spec))
-            if left != right:
-                failures.append(f"counit naturality fails for {gamma!r}")
     return failures
 
 
@@ -267,7 +264,8 @@ def check_limit_law(
     universal property against every test apex.
 
     The two components of each apex point are read from its rows of the two
-    legs, taken side by side.
+    legs, taken side by side.  A component divides the apex multiplicity
+    wherever that is their lcm, so divisibility is not tested apart.
     """
     failures = []
     for x, y in itertools.combinations_with_replacement(spaces, 2):
@@ -275,12 +273,8 @@ def check_limit_law(
         apex, (left, right) = cone.apex, cone.legs
         xm, ym = x.mults, y.mults
         for label, m, (i, _), (j, _) in zip(apex.labels, apex.mults, left.rows, right.rows):
-            comps = [xm[i], ym[j]]
-            if m != checked_lcm(comps):
+            if m != checked_lcm([xm[i], ym[j]]):
                 failures.append(f"multiplicity law fails at {label} of {x!r}x{y!r}")
-            for n in comps:
-                if m % n != 0:
-                    failures.append(f"projection divisibility fails at {label}")
         report = limits.verify_universal(cone, limits.Diagram((x, y)), apexes)
         if report["violations"]:
             failures.append(
@@ -295,7 +289,9 @@ def check_duality_exchange(spaces: Sequence[MultiSpace]) -> list[str]:
     Each is built once per pair and compared with its definition.  As
     G(X + Y) = G(X) x G(Y), the projections' point maps start at X and Y and
     hit each apex point once, with multiplier 1.  The injections' point maps
-    end at X and Y, and distinct apex points have distinct components."""
+    end at X and Y, and distinct apex points have distinct components.  The
+    product's identity is not tested for being an isomorphism here:
+    ``check_category_laws`` tests ``is_isomorphism`` on every identity."""
     failures = []
     for x, y in itertools.combinations_with_replacement(spaces, 2):
         gx, gy = duality.function_group(x), duality.function_group(y)
@@ -304,8 +300,6 @@ def check_duality_exchange(spaces: Sequence[MultiSpace]) -> list[str]:
         rows = sorted([r for m in maps for r in m.rows])
         if [m.dom for m in maps] != [x, y] or rows != [(j, 1) for j in range(len(prod.apex.base))]:
             failures.append(f"coproduct/product exchange fails for {x!r},{y!r}")
-        if not is_isomorphism(sgroup.identity_lhom(prod.apex).point_map):
-            failures.append(f"exchange witness is not an isomorphism for {x!r},{y!r}")
         maps = [i.point_map for i in limits.group_coproduct(gx, gy).injections]
         components = set(zip(*[[j for j, _ in m.rows] for m in maps]))
         if [m.cod for m in maps] != [x, y] or len(components) != len(maps[0].dom):
@@ -466,21 +460,22 @@ def check_stone_restriction(spaces: Sequence[MultiSpace]) -> list[str]:
     powerset atoms: units are singular, hom-sets are all point maps, and
     dual homomorphisms act on supports by preimage.
 
-    The singular elements of each G(Y), with their supports, are built once
-    per space, not once per morphism into it."""
+    The unit of each G(Y) is tested, and its singular elements are built
+    with their supports, once per space, not once per pair or per morphism
+    into it: the unit's singularity depends on the space alone."""
     failures = []
     ones = [x for x in spaces if all(m == 1 for m in x.mults)]
     singulars = {}
     for y in ones:
-        box = list(box_elements(duality.function_group(y), 0, 1))
+        gy = duality.function_group(y)
+        if not sgroup.is_singular(gy.unit()):
+            failures.append(f"unit of {y!r} is not singular")
+        box = list(box_elements(gy, 0, 1))
         singulars[y] = list(zip(box, map(sgroup.support, box)))
     for x, y in itertools.product(ones, repeat=2):
         homs = enumerate_homs(x, y)
         if len(homs) != len(y) ** len(x):
             failures.append(f"hom count is not |Y|^|X| for {x!r},{y!r}")
-        gx = duality.function_group(x)
-        if not sgroup.is_singular(gx.unit()):
-            failures.append(f"unit of {x!r} is not singular")
         for gamma in homs:
             psi = duality.dual_hom(gamma)
             for s, on in singulars[y]:

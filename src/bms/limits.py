@@ -4,8 +4,9 @@ Limit apexes are compatible tuples of points; the apex multiplicity is the
 least common multiple of the component multiplicities.  ``limit`` extends
 partial tuples object by object, so that an arrow cuts the scan instead of
 filtering the whole product; a diagram without arrows is the plain product.
-Its size cap counts only the objects whose point no earlier object fixes,
-as those are the only ones that multiply the scan.
+Its size cap counts, for each object whose point no earlier object fixes,
+its size, or its largest preimage when it has an arrow into an earlier
+object, as those are the only factors that multiply the scan.
 It tests each LCM once against ``INT_LIMIT`` and builds the apex with the
 checked ``MultiSpace`` constructor, which refuses a repeated tuple label,
 as labels containing commas can produce.  Its legs, whose multipliers are
@@ -115,13 +116,17 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
 
     The tuples grow object by object, and an arrow is tested as soon as its
     later end k is chosen.  An arrow s -> k from an earlier object fixes k's
-    point, so the first such arrow chooses it; then each arrow ending at k
-    (into k, out of k into an earlier object, or a self-loop) filters the
-    extended tuples.  A diagram without arrows is the whole product.
+    point, so the first such arrow chooses it.  Otherwise the first arrow
+    k -> t into an earlier object t offers only the points of k it sends to
+    the tuple's point at t, from preimage lists built once per arrow in
+    point order.  Then each arrow ending at k (into k, out of k into an
+    earlier object, or a self-loop) filters the extended tuples.  A diagram
+    without arrows is the whole product.
 
-    Only the choice of an unfixed object's point multiplies the tuples, so
-    the product of those objects' sizes bounds every step: above
-    ``HOM_LIMIT`` it raises SizeLimitError before any tuple is built.
+    Only the choice of an unfixed object's point multiplies the tuples, by
+    at most its size, or its largest preimage when an arrow offers them, so
+    the product of those factors bounds every step: above ``HOM_LIMIT`` it
+    raises SizeLimitError before any tuple is built.
     """
     objs = diagram.objects
     choices = list(map(len, objs))  # the points each tuple may extend by
@@ -130,6 +135,14 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
         if s < t and t not in fixing:
             fixing[t] = (s, m.rows)
             choices[t] = 1
+    preimages: dict[int, tuple[int, list[list[int]]]] = {}
+    for s, t, m in diagram.arrows:
+        if t < s and s not in fixing and s not in preimages:
+            pre: list[list[int]] = [[] for _ in objs[t]]
+            for i, (j, _) in enumerate(m.rows):
+                pre[j].append(i)
+            preimages[s] = (t, pre)
+            choices[s] = max(map(len, pre), default=0)
     count = math.prod(choices)
     if count > HOM_LIMIT:
         raise SizeLimitError(f"{count} point tuples exceed the limit of {HOM_LIMIT}")
@@ -140,6 +153,9 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
         if k in fixing:
             s0, rows0 = fixing[k]
             tuples = [c + (rows0[c[s0]][0],) for c in tuples]
+        elif k in preimages:
+            t0, pre = preimages[k]
+            tuples = [c + (i,) for c in tuples for i in pre[c[t0]]]
         else:
             tuples = [c + (i,) for c in tuples for i in range(len(obj))]
         for s, t, m in diagram.arrows:
@@ -157,11 +173,13 @@ def limit(diagram: Diagram) -> Cone:
 
     Apex points are ordered lexicographically over the canonical component
     orders; legs are the projections.  It raises SizeLimitError before
-    scanning any tuple when the product of the sizes of the objects whose
-    point no arrow from an earlier object fixes exceeds ``HOM_LIMIT``; with
-    no arrows, that is every object.  It raises OverflowLimitError when an
-    LCM exceeds ``INT_LIMIT``.  The empty diagram gives the terminal
-    object: one point of multiplicity 1, and no legs.
+    scanning any tuple when the product over the objects whose point no
+    arrow from an earlier object fixes exceeds ``HOM_LIMIT``; an object
+    counts with its size, or with its largest preimage under its first arrow
+    into an earlier object.  With no arrows, that is every object's size.
+    It raises OverflowLimitError when an LCM exceeds ``INT_LIMIT``.  The
+    empty diagram gives the terminal object: one point of multiplicity 1,
+    and no legs.
     """
     objs = diagram.objects
     components = _compatible_tuples(diagram)

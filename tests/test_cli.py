@@ -198,6 +198,19 @@ def test_equalizer_below_the_limit_of_tuples_it_extends(tmp_path, capsys):
     assert [p["label"] for p in points] == [f"(x{i},y{i})" for i in range(0, 400, 2)]
 
 
+def test_limit_with_an_arrow_into_an_earlier_object(tmp_path, capsys):
+    # a bijection of 400 points, its codomain first: 400 of the 160,000
+    # point tuples are extended
+    dom = {"points": [{"label": f"x{i}", "mult": 1} for i in range(400)]}
+    cod = {"points": [{"label": f"y{i}", "mult": 1} for i in range(400)]}
+    arrow = {"src": 1, "tgt": 0, "map": {f"x{i}": f"y{i}" for i in range(400)}}
+    path = write(tmp_path, "d.json", {"objects": [cod, dom], "arrows": [arrow]})
+    code, out, _ = run(capsys, "limit", "--diagram", path)
+    assert code == 0
+    points = json.loads(out)["apex"]["points"]
+    assert [p["label"] for p in points] == [f"(y{i},x{i})" for i in range(400)]
+
+
 def test_limit_diagram(tmp_path, capsys):
     diagram = {
         "objects": [

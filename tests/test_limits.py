@@ -116,6 +116,28 @@ def test_limit_refusal_counts_the_objects_no_arrow_fixes():
         pullback(f, f)
 
 
+def test_an_arrow_into_an_earlier_object_offers_only_its_preimages():
+    # f is a bijection of 400 points: the reversed diagram extends each of
+    # the 400 points of y by its one preimage, not by all 400 points of x.
+    f, _ = _maps_agreeing_on_the_even_points(400)
+    x, y = f.dom, f.cod
+    backward = limit(Diagram((y, x), ((1, 0, f),)))
+    forward = limit(Diagram((x, y), ((0, 1, f),)))
+    assert len(backward.apex) == 400
+    assert backward.apex.labels == tuple(
+        "(" + ",".join(l[1:-1].split(",")[::-1]) + ")" for l in forward.apex.labels
+    )
+    assert backward.apex.mults == forward.apex.mults
+    assert [l.rows for l in backward.legs] == [l.rows for l in forward.legs[::-1]]
+    # The pullback over one point with the point first: each side offers its
+    # largest preimage, all 317 points, so 317 x 317 tuples are refused.
+    side = new_space([f"x{i}" for i in range(317)], [1] * 317)
+    pt = new_space(["t"], [1])
+    g = new_morphism(side, pt, {l: "t" for l in side.labels})
+    with pytest.raises(SizeLimitError, match=r"^100489 point tuples exceed the limit of 100000$"):
+        limit(Diagram((pt, side, side), ((1, 0, g), (2, 0, g))))
+
+
 def test_pullback_over_terminal_is_product():
     x = new_space(["a", "b"], [1, 2])
     y = new_space(["c"], [3])
