@@ -14,6 +14,7 @@ the counit at a group is the dual of the unit's inverse at its base.
 
 from __future__ import annotations
 
+import collections
 import functools
 
 from .mspace import (
@@ -154,7 +155,8 @@ def hom_bijection_report(x: MultiSpace, y: MultiSpace) -> dict:
     """Compare point maps x -> y against matrices group(y) -> group(x).
 
     Maps every enumerated point map through the duality and checks that this
-    hits each brute-force-enumerated matrix exactly once.
+    hits each brute-force-enumerated matrix exactly once.  The set
+    differences are computed only when the two sets differ.
     """
     homs = enumerate_homs(x, y)
     images = [dual_hom(g) for g in homs]
@@ -163,12 +165,16 @@ def hom_bijection_report(x: MultiSpace, y: MultiSpace) -> dict:
     failures = []
     if len(image_set) != len(images):
         failures.append("duality is not injective on point maps")
-    missing = lhom_set - image_set
-    if missing:
-        failures.append(f"{len(missing)} matrices are not images of point maps")
-    extra = image_set - lhom_set
-    if extra:
-        failures.append(f"{len(extra)} images fall outside the enumerated matrices")
+    if len(lhom_set) != len(lhoms):
+        repeated = sum(1 for n in collections.Counter(lhoms).values() if n > 1)
+        failures.append(f"{repeated} matrices are enumerated more than once")
+    if image_set != lhom_set:
+        missing = lhom_set - image_set
+        if missing:
+            failures.append(f"{len(missing)} matrices are not images of point maps")
+        extra = image_set - lhom_set
+        if extra:
+            failures.append(f"{len(extra)} images fall outside the enumerated matrices")
     return {
         "homs_bms": len(homs),
         "homs_uslg": len(lhoms),

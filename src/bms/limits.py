@@ -119,9 +119,12 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
     point, so the first such arrow chooses it.  Otherwise the first arrow
     k -> t into an earlier object t offers only the points of k it sends to
     the tuple's point at t, from preimage lists built once per arrow in
-    point order.  Then each arrow ending at k (into k, out of k into an
-    earlier object, or a self-loop) filters the extended tuples.  A diagram
-    without arrows is the whole product.
+    point order.  Then each other arrow ending at k (into k, out of k into
+    an earlier object, or a self-loop) filters the extended tuples; the
+    arrow that chose k's point, known by its position in the arrows, would
+    pass them all, so it is skipped.  A second arrow with the same ends, as
+    in an equalizer, still filters.  A diagram without arrows is the whole
+    product.
 
     Only the choice of an unfixed object's point multiplies the tuples, by
     at most its size, or its largest preimage when an arrow offers them, so
@@ -130,18 +133,22 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
     """
     objs = diagram.objects
     choices = list(map(len, objs))  # the points each tuple may extend by
+    # object -> the position in diagram.arrows of the arrow choosing its point
+    chooser: dict[int, int] = {}
     fixing: dict[int, tuple[int, tuple]] = {}
-    for s, t, m in diagram.arrows:
+    for a, (s, t, m) in enumerate(diagram.arrows):
         if s < t and t not in fixing:
             fixing[t] = (s, m.rows)
+            chooser[t] = a
             choices[t] = 1
     preimages: dict[int, tuple[int, list[list[int]]]] = {}
-    for s, t, m in diagram.arrows:
+    for a, (s, t, m) in enumerate(diagram.arrows):
         if t < s and s not in fixing and s not in preimages:
             pre: list[list[int]] = [[] for _ in objs[t]]
             for i, (j, _) in enumerate(m.rows):
                 pre[j].append(i)
             preimages[s] = (t, pre)
+            chooser[s] = a
             choices[s] = max(map(len, pre), default=0)
     count = math.prod(choices)
     if count > HOM_LIMIT:
@@ -158,8 +165,8 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
             tuples = [c + (i,) for c in tuples for i in pre[c[t0]]]
         else:
             tuples = [c + (i,) for c in tuples for i in range(len(obj))]
-        for s, t, m in diagram.arrows:
-            if max(s, t) == k:
+        for a, (s, t, m) in enumerate(diagram.arrows):
+            if max(s, t) == k and a != chooser.get(k):
                 rows = m.rows
                 tuples = [c for c in tuples if rows[c[s]][0] == c[t]]
     return tuples

@@ -12,11 +12,13 @@ is the one decoder of the dense matrix form: it decodes each row with
 ``decode_matrix_row`` and checks the rows through the ``BmsMorphism``
 constructor.  ``duality.enumerate_lhoms`` decodes its candidate rows with
 the same ``decode_matrix_row``, once each, and checks them once each
-through ``mspace.homs_from_factors``.  ``identity_lhom`` and
-``compose_lhom`` take their point maps from ``mspace.identity`` and
-``mspace.compose``, which do not check the rows again: identity rows (i, 1)
-and composites of checked rows satisfy the divisibility rule by
-construction.
+through ``mspace.homs_from_factors``.  As the hom-bijection sweep decodes
+every candidate row so, ``decode_matrix_row`` is one plain loop over the
+entries, with no comprehension or generator frame per row.
+``identity_lhom`` and ``compose_lhom`` take their point maps from
+``mspace.identity`` and ``mspace.compose``, which do not check the rows
+again: identity rows (i, 1) and composites of checked rows satisfy the
+divisibility rule by construction.
 
 Element values are validated once, where they enter: calling
 ``GroupElement`` (and so ``SpeckerGroup.element``) checks the length and
@@ -545,20 +547,31 @@ class LHom:
 def decode_matrix_row(r: int, row: Sequence[int], ncols: int) -> tuple[int, int]:
     """Row r of a dense matrix as its (column, k) pair: the row needs checked
     entries, ``ncols`` of them, and exactly one positive entry, k at the
-    column.  Whether k keeps the unit is the point map's check."""
-    # checked() runs only on an entry that is not an int in range, to raise
-    row = [
-        v if type(v) is int and -INT_LIMIT <= v <= INT_LIMIT else checked(v, "matrix entry")
-        for v in row
-    ]
-    if len(row) != ncols:
-        raise SchemaError(f"row {r} has {len(row)} entries, expected {ncols}")
-    positives = [(c, k) for c, k in enumerate(row) if k != 0]
-    if any(k < 0 for _, k in positives):
+    column.  Whether k keeps the unit is the point map's check.
+
+    Every entry is checked before the row's length, then its signs, then its
+    count of positive entries, so a row with two faults reports the first of
+    these."""
+    n = nonzero = 0
+    negative = False
+    first = None
+    for v in row:
+        if type(v) is not int or not -INT_LIMIT <= v <= INT_LIMIT:
+            v = checked(v, "matrix entry")  # raises unless an int subclass in range
+        if v != 0:
+            if v < 0:
+                negative = True
+            elif first is None:
+                first = (n, v)
+            nonzero += 1
+        n += 1
+    if n != ncols:
+        raise SchemaError(f"row {r} has {n} entries, expected {ncols}")
+    if negative:
         raise SchemaError(f"row {r} has a negative entry")
-    if len(positives) != 1:
-        raise SchemaError(f"row {r} has {len(positives)} positive entries, expected exactly 1")
-    return positives[0]
+    if nonzero != 1:
+        raise SchemaError(f"row {r} has {nonzero} positive entries, expected exactly 1")
+    return first
 
 
 def validate_lhom(

@@ -20,6 +20,7 @@ from bms.laws import (
     all_spaces,
     box_elements,
     check_functoriality,
+    check_hom_bijection,
     check_naturality,
     check_stone_restriction,
 )
@@ -141,6 +142,27 @@ def test_hom_bijection_examples():
     assert report["homs_bms"] == 1 and report["homs_uslg"] == 1 and report["bijection"]
     report = hom_bijection_report(y, x)
     assert report["homs_bms"] == 0 and report["homs_uslg"] == 0 and report["bijection"]
+
+
+def test_a_matrix_enumerated_twice_is_a_named_failure(monkeypatch):
+    enumerate_all = duality.enumerate_lhoms
+
+    def repeating_the_first(dom, cod):
+        lhoms = enumerate_all(dom, cod)
+        return lhoms[:1] + lhoms
+
+    monkeypatch.setattr(duality, "enumerate_lhoms", repeating_the_first)
+    spaces = all_spaces(1, 2)
+    failures = check_hom_bijection(spaces)
+    nonempty = [(x, y) for x, y in itertools.product(spaces, repeat=2) if enumerate_homs(x, y)]
+    assert failures == [
+        f"hom bijection fails for {x!r} -> {y!r}: ['1 matrices are enumerated more than once']"
+        for x, y in nonempty
+    ]
+    assert failures[0] == (
+        "hom bijection fails for MultiSpace() -> MultiSpace(): "
+        "['1 matrices are enumerated more than once']"
+    )
 
 
 def test_enumerate_lhoms_against_direct_construction():

@@ -3,10 +3,10 @@ import itertools
 
 import pytest
 
-from bms import duality, laws, limits, sgroup
+from bms import duality, laws, limits, mspace, sgroup
 from bms.errors import SchemaError
 from bms.laws import all_spaces, representative_spaces
-from bms.mspace import compose, enumerate_homs, hom_factors, identity, new_space
+from bms.mspace import BmsMorphism, compose, enumerate_homs, hom_factors, identity, new_space
 
 
 def test_all_spaces_above_four_points():
@@ -41,6 +41,61 @@ def test_inverse_exists_matches_full_scan(bounds):
             invertible += scan
     assert checked == {(3, 4): 24_477, (4, 1): 499}[bounds]
     assert invertible > 0
+
+
+def _inverse_exists_oracle(rows, back):
+    """``laws._inverse_exists`` as nested ``all``/``any`` generators."""
+    preimages = [[] for _ in back]
+    for x, (t, w) in enumerate(rows):
+        preimages[t].append((x, w))
+    return all(
+        any(
+            (rows[i][0], z * rows[i][1]) == (y, 1)
+            and all((i, w * z) == (x, 1) for x, w in preimages[y])
+            for i, z in candidates
+        )
+        for y, candidates in enumerate(back)
+    )
+
+
+def _is_isomorphism_oracle(m):
+    """``mspace.is_isomorphism`` as a set comprehension and a generator."""
+    if len(m.dom) != len(m.cod) or len({j for j, _ in m.rows}) != len(m.rows):
+        return False
+    return all(z == 1 for _, z in m.rows)
+
+
+def _morphism(dom_mults, cod_mults, rows):
+    dom = new_space([f"x{i}" for i in range(len(dom_mults))], dom_mults)
+    cod = new_space([f"y{j}" for j in range(len(cod_mults))], cod_mults)
+    return BmsMorphism(dom, cod, rows)
+
+
+# Beyond two points: rows that fail to be an isomorphism in one way each,
+# and two that are one.
+NOT_ISOMORPHISMS = [
+    _morphism((2, 2, 2), (2, 2, 2), ((0, 1), (0, 1), (2, 1))),  # two rows hit y0
+    _morphism((2, 2, 2), (1, 1, 1), ((1, 2), (0, 2), (2, 2))),  # bijective, multiplier 2
+    _morphism((2, 2, 4), (2, 2, 2), ((1, 1), (0, 1), (2, 2))),  # one multiplier 2
+    _morphism((2, 2, 2), (2, 2, 2, 2), ((3, 1), (1, 1), (0, 1))),  # injective, misses y2
+    _morphism((1, 1, 1, 1), (1, 1, 1), ((0, 1), (1, 1), (2, 1), (2, 1))),  # onto, not injective
+]
+ISOMORPHISMS = [
+    _morphism((1, 2, 1, 2), (2, 1, 2, 1), ((1, 1), (2, 1), (3, 1), (0, 1))),
+    _morphism((3, 3, 3), (3, 3, 3), ((2, 1), (0, 1), (1, 1))),
+]
+
+
+def test_the_isomorphism_tests_match_their_generator_oracles():
+    morphisms = [
+        f for x, y in itertools.product(all_spaces(2, 3), repeat=2) for f in enumerate_homs(x, y)
+    ]
+    for f in morphisms + NOT_ISOMORPHISMS + ISOMORPHISMS:
+        back = hom_factors(f.cod.mults, f.dom.mults)
+        verdict = _is_isomorphism_oracle(f)
+        assert mspace.is_isomorphism(f) == verdict, f
+        assert laws._inverse_exists(f.rows, back) == _inverse_exists_oracle(f.rows, back) == verdict, f
+    assert [_is_isomorphism_oracle(f) for f in NOT_ISOMORPHISMS + ISOMORPHISMS] == [False] * 5 + [True] * 2
 
 
 @pytest.mark.parametrize("bounds", [(3, 4), (4, 2)])

@@ -105,6 +105,22 @@ def test_equalizer_is_bounded_by_the_tuples_it_extends():
     assert cone.legs[0].targets == tuple(f"x{i}" for i in range(0, 400, 2))
 
 
+def test_the_second_arrow_of_an_equalizer_still_filters():
+    # g differs from f at every point, so no point is equalized.  f chooses
+    # the codomain point (forward) or offers the preimages (reversed), and g,
+    # with the same ends, must still filter those tuples.
+    n = 4
+    dom = new_space([f"x{i}" for i in range(n)], [2] * n)
+    cod = new_space([f"y{i}" for i in range(n)], [1] * n)
+    f = new_morphism(dom, cod, {f"x{i}": f"y{i}" for i in range(n)})
+    g = new_morphism(dom, cod, {f"x{i}": f"y{(i + 1) % n}" for i in range(n)})
+    cone = equalizer(f, g)
+    assert len(cone.apex) == 0
+    assert [leg.rows for leg in cone.legs] == [(), ()]
+    assert len(limit(Diagram((cod, dom), ((1, 0, f), (1, 0, g)))).apex) == 0
+    assert len(equalizer(f, f).apex) == n
+
+
 def test_limit_refusal_counts_the_objects_no_arrow_fixes():
     obj = new_space([f"p{i}" for i in range(12)], [1] * 12)
     with pytest.raises(SizeLimitError, match=r"^248832 point tuples exceed the limit of 100000$"):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from bms import sgroup
 from bms.duality import enumerate_lhoms
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError, SizeLimitError
-from bms.ints import INT_LIMIT
+from bms.ints import INT_LIMIT, checked
 from bms.laws import all_groups, box_elements
 from bms.mspace import HOM_LIMIT, BmsMorphism, new_space
 from bms.sgroup import (
@@ -564,6 +564,58 @@ def test_lhom_entries_at_the_bound_are_accepted():
     assert h.rows == ((0, INT_LIMIT),)
     with pytest.raises(SchemaError, match="negative entry"):
         validate_lhom([[INT_LIMIT, -INT_LIMIT]], grp(1, 1), grp(INT_LIMIT))
+
+
+def _decode_matrix_row_oracle(r, row, ncols):
+    """``decode_matrix_row`` as three comprehensions and a generator: every
+    entry is checked, then the length, the signs and the positive count."""
+    row = [
+        v if type(v) is int and -INT_LIMIT <= v <= INT_LIMIT else checked(v, "matrix entry")
+        for v in row
+    ]
+    if len(row) != ncols:
+        raise SchemaError(f"row {r} has {len(row)} entries, expected {ncols}")
+    positives = [(c, k) for c, k in enumerate(row) if k != 0]
+    if any(k < 0 for _, k in positives):
+        raise SchemaError(f"row {r} has a negative entry")
+    if len(positives) != 1:
+        raise SchemaError(f"row {r} has {len(positives)} positive entries, expected exactly 1")
+    return positives[0]
+
+
+def _outcome(decode, *args):
+    try:
+        return "value", decode(*args)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def test_decode_matrix_row_matches_the_comprehension_oracle():
+    """Rows of 0-3 entries against two columns, with every entry drawn from
+    the values below, so that rows with two faults at once (a bad entry
+    after a negative one, a wrong length with a bad entry, ...) show which
+    error comes first."""
+    entries = (0, 1, 2, -1, True, "x", 2**63)
+    seen = set()
+    for n in range(4):
+        for row in itertools.product(entries, repeat=n):
+            expected = _outcome(_decode_matrix_row_oracle, 3, list(row), 2)
+            assert _outcome(sgroup.decode_matrix_row, 3, list(row), 2) == expected, row
+            assert _outcome(sgroup.decode_matrix_row, 3, iter(row), 2) == expected, row
+            seen.add("value" if expected[0] == "value" else expected[1])
+    assert seen >= {
+        "value",
+        "matrix entry must be an integer, got True",
+        "matrix entry must be an integer, got 'x'",
+        f"matrix entry {2**63} exceeds the 64-bit bound",
+        "row 3 has 0 entries, expected 2",
+        "row 3 has 3 entries, expected 2",
+        "row 3 has a negative entry",
+        "row 3 has 0 positive entries, expected exactly 1",
+        "row 3 has 2 positive entries, expected exactly 1",
+    }
+    for row in (5, None):
+        assert _outcome(sgroup.decode_matrix_row, 0, row, 2)[0] is TypeError
 
 
 def test_lhom_point_map_round_trip():
