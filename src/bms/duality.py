@@ -155,20 +155,25 @@ def hom_bijection_report(x: MultiSpace, y: MultiSpace) -> dict:
     """Compare point maps x -> y against matrices group(y) -> group(x).
 
     Maps every enumerated point map through the duality and checks that this
-    hits each brute-force-enumerated matrix exactly once.  The set
-    differences are computed only when the two sets differ.
+    hits each brute-force-enumerated matrix exactly once.  Both lists come in
+    the same product order, so when they are equal one set serves both: a
+    repeat in one list is a repeat in the other.  The set differences are
+    computed only when the two sets differ.
     """
     homs = enumerate_homs(x, y)
     images = [dual_hom(g) for g in homs]
     lhoms = enumerate_lhoms(function_group(y), function_group(x))
-    image_set, lhom_set = set(images), set(lhoms)
+    if images == lhoms:
+        image_set = lhom_set = set(images)
+    else:
+        image_set, lhom_set = set(images), set(lhoms)
     failures = []
     if len(image_set) != len(images):
         failures.append("duality is not injective on point maps")
     if len(lhom_set) != len(lhoms):
         repeated = sum(1 for n in collections.Counter(lhoms).values() if n > 1)
         failures.append(f"{repeated} matrices are enumerated more than once")
-    if image_set != lhom_set:
+    if image_set is not lhom_set and image_set != lhom_set:
         missing = lhom_set - image_set
         if missing:
             failures.append(f"{len(missing)} matrices are not images of point maps")

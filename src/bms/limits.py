@@ -7,6 +7,9 @@ filtering the whole product; a diagram without arrows is the plain product.
 Its size cap counts, for each object whose point no earlier object fixes,
 its size, or its largest preimage when it has an arrow into an earlier
 object, as those are the only factors that multiply the scan.
+The tuples are then read column by column: one column of point indices per
+object, along which its labels and multiplicities are looked up in one pass
+each, so the labels, LCMs and leg rows are built by zipping the columns.
 It tests each LCM once against ``INT_LIMIT`` and builds the apex with the
 checked ``MultiSpace`` constructor, which refuses a repeated tuple label,
 as labels containing commas can produce.  Its legs, whose multipliers are
@@ -16,8 +19,10 @@ they are not checked again, so a wrong multiplicity in the apex reaches
 ``verify_universal`` checks their universal property at one-point spaces,
 which decides it at every test apex.  The probe of multiplicity m is the
 first one-point test apex of multiplicity m, or, when no test apex is one,
-the space t:m built for the call; a violation names its probe.  Its
-``cones`` counts the cones from the test apexes.
+the space t:m built for the call; a violation names its probe.  One walk
+of the test apexes finds the probes and their multiplicities, one
+``hom_factors`` call gives the candidate mediators of every probe, and one
+more walk totals ``cones``, the cones from the test apexes.
 Coproducts are disjoint unions, with prefixed labels that cannot collide.
 Products and coproducts of Specker groups are obtained through the
 duality, and are the same ``Cone`` and ``Cocone`` in the group category:
@@ -37,7 +42,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from math import lcm
-from operator import attrgetter
+from operator import attrgetter, floordiv
 from typing import Sequence
 
 from .duality import dual_hom, function_group
@@ -53,7 +58,6 @@ from .mspace import (
     identity_rows,
     morphism_to_dict,
     new_morphism,
-    new_space,
     space_from_dict,
     space_to_dict,
 )
@@ -68,7 +72,6 @@ __all__ = [
     "equalizer",
     "pullback",
     "coproduct",
-    "initial",
     "verify_universal",
     "verify_couniversal",
     "group_product",
@@ -172,9 +175,6 @@ def _compatible_tuples(diagram: Diagram) -> list[tuple[int, ...]]:
     return tuples
 
 
-_item = tuple.__getitem__
-
-
 def limit(diagram: Diagram) -> Cone:
     """The limit cone: compatible point tuples with LCM multiplicities.
 
@@ -190,10 +190,15 @@ def limit(diagram: Diagram) -> Cone:
     """
     objs = diagram.objects
     components = _compatible_tuples(diagram)
-    labels = [o.labels for o in objs]
-    points = tuple(["(" + ",".join(map(_item, labels, c)) + ")" for c in components])
-    mults_of = [o.mults for o in objs]
-    mults = tuple([lcm(*map(_item, mults_of, c)) for c in components])
+    if not objs:  # no column to read: the one empty tuple, the terminal point
+        return Cone(MultiSpace(("()",), (1,)), ())
+    # One column of point indices per object, empty when no tuple survives,
+    # then each object's labels and multiplicities read along its column.
+    cols = list(zip(*components)) or [()] * len(objs)
+    mult_cols = [tuple(map(o.mults.__getitem__, col)) for o, col in zip(objs, cols)]
+    label_cols = [map(o.labels.__getitem__, col) for o, col in zip(objs, cols)]
+    points = tuple(["(" + ",".join(row) + ")" for row in zip(*label_cols)])
+    mults = tuple(map(lcm, *mult_cols))
     if max(mults, default=1) > INT_LIMIT:
         over = next(p for p, m in zip(points, mults) if m > INT_LIMIT)
         raise OverflowLimitError(f"lcm at point {over} exceeds the 64-bit bound")
@@ -201,10 +206,8 @@ def limit(diagram: Diagram) -> Cone:
     # Each multiplier is the lcm over the tuple divided by one component's
     # multiplicity, so the projections are built without the row check.
     legs = tuple(
-        BmsMorphism._trusted(
-            apex, o, tuple([(c[k], m // o.mults[c[k]]) for c, m in zip(components, mults)])
-        )
-        for k, o in enumerate(objs)
+        BmsMorphism._trusted(apex, o, tuple(zip(col, map(floordiv, mults, mcol))))
+        for o, col, mcol in zip(objs, cols, mult_cols)
     )
     return Cone(apex, legs)
 
@@ -233,10 +236,6 @@ def coproduct(x: MultiSpace, y: MultiSpace) -> Cocone:
     inj_x = BmsMorphism(x, apex, identity_rows(len(x)))
     inj_y = BmsMorphism(y, apex, tuple([(len(x) + i, 1) for i in range(len(y))]))
     return Cocone(apex, (inj_x, inj_y))
-
-
-def initial() -> MultiSpace:
-    return new_space([], [])
 
 
 @functools.lru_cache(maxsize=None)
@@ -274,38 +273,46 @@ def verify_universal(
     violation names its probe.  ``cones`` counts the cones from the test
     apexes: sum over T of prod over t in T of cones({t}).
     """
-    probes = {t.mults[0]: t for t in reversed(test_apexes) if len(t.mults) == 1}
-    apex_mults, legs = candidate.apex.mults, candidate.legs
+    probes: dict[int, MultiSpace] = {}
+    mults: set[int] = set()
+    for t in test_apexes:
+        tm = t.mults
+        if len(tm) == 1 and tm[0] not in probes:
+            probes[tm[0]] = t
+        mults.update(tm)
+    sorted_mults = sorted(mults)
+    leg_rows = [leg.rows for leg in candidate.legs]
     ncones: dict[int, int] = {}
     found: dict[int, list[str]] = {}
-    for m in sorted({tm for t in test_apexes for tm in t.mults}):
+    for m, factor in zip(sorted_mults, hom_factors(sorted_mults, candidate.apex.mults)):
         point = probes.get(m)
         if point is None:
             point = MultiSpace(("t",), (m,))
         # Each mediator's key is its composite with every leg, built one leg
         # at a time: plain loops, as a comprehension builds a frame per call.
         mediators: dict[tuple, int] = {}
-        for row in hom_factors((m,), apex_mults)[0]:
+        for row in factor:
             key: tuple = ()
-            for leg in legs:
-                key += (compose_rows((row,), leg.rows),)
+            for rows in leg_rows:
+                key += (compose_rows((row,), rows),)
             mediators[key] = mediators.get(key, 0) + 1
         cones = _cones_from(point, diagram)
+        ncones[m] = len(cones)
         messages = []
         for cone in cones:
             n = mediators.get(tuple(map(_rows, cone)), 0)
             if n != 1:
                 what = f"{n} mediating morphisms" if n else "no mediating morphism"
                 messages.append(f"{what} from {point!r} for cone {[l.targets for l in cone]}")
-        ncones[m] = len(cones)
-        found[m] = messages
-    total, decided = 0, set()
-    for t in test_apexes:
-        n = math.prod(map(ncones.__getitem__, t.mults))
-        if n:
-            total += n
-            decided.update(t.mults)
-    return {"cones": total, "violations": [v for m in sorted(decided) for v in found[m]]}
+        if messages:
+            found[m] = messages
+    get = ncones.__getitem__
+    counts = [math.prod(map(get, t.mults)) for t in test_apexes]
+    violations: list[str] = []
+    if found:
+        decided = {m for t, n in zip(test_apexes, counts) if n for m in t.mults}
+        violations = [v for m in sorted(found) if m in decided for v in found[m]]
+    return {"cones": sum(counts), "violations": violations}
 
 
 def verify_couniversal(candidate: Cocone, test_apexes: Sequence[MultiSpace]) -> dict:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -163,6 +164,90 @@ def test_a_matrix_enumerated_twice_is_a_named_failure(monkeypatch):
         "hom bijection fails for MultiSpace() -> MultiSpace(): "
         "['1 matrices are enumerated more than once']"
     )
+
+
+def _two_set_hom_bijection_report(x, y):
+    """Oracle: the report built from a set of each list, as before the lists
+    were compared first."""
+    homs = duality.enumerate_homs(x, y)
+    images = [dual_hom(g) for g in homs]
+    lhoms = duality.enumerate_lhoms(function_group(y), function_group(x))
+    image_set, lhom_set = set(images), set(lhoms)
+    failures = []
+    if len(image_set) != len(images):
+        failures.append("duality is not injective on point maps")
+    if len(lhom_set) != len(lhoms):
+        repeated = sum(1 for n in collections.Counter(lhoms).values() if n > 1)
+        failures.append(f"{repeated} matrices are enumerated more than once")
+    if image_set != lhom_set:
+        missing = lhom_set - image_set
+        if missing:
+            failures.append(f"{len(missing)} matrices are not images of point maps")
+        extra = image_set - lhom_set
+        if extra:
+            failures.append(f"{len(extra)} images fall outside the enumerated matrices")
+    return {
+        "homs_bms": len(homs),
+        "homs_uslg": len(lhoms),
+        "bijection": not failures and len(homs) == len(lhoms),
+        "failures": failures,
+    }
+
+
+_enumerate_homs = duality.enumerate_homs
+_enumerate_lhoms = duality.enumerate_lhoms
+
+
+def _repeating_the_first(enumerate_all):
+    return lambda dom, cod: enumerate_all(dom, cod)[:1] + enumerate_all(dom, cod)
+
+
+# (id, the patched (name, replacement) pairs, the pairs of all_spaces(2, 3)
+# whose report has failures).  Of its 169 pairs, 105 have a nonempty hom-set
+# and 40 more than one morphism, whose order reversal changes the list but
+# neither set.  Repeating the first element of both lists keeps them equal;
+# repeating it in place of the last keeps the length of a longer list.
+_LIST_EDITS = [
+    ("unpatched", [], 0),
+    ("a matrix repeated", [("enumerate_lhoms", _repeating_the_first(_enumerate_lhoms))], 105),
+    ("a matrix dropped", [("enumerate_lhoms", lambda d, c: _enumerate_lhoms(d, c)[1:])], 105),
+    (
+        "the last matrix replaced by the first",
+        [("enumerate_lhoms", lambda d, c: _repeating_the_first(_enumerate_lhoms)(d, c)[:-1])],
+        40,
+    ),
+    ("list reversed", [("enumerate_lhoms", lambda d, c: _enumerate_lhoms(d, c)[::-1])], 0),
+    (
+        "both repeat",
+        [
+            ("enumerate_homs", _repeating_the_first(_enumerate_homs)),
+            ("enumerate_lhoms", _repeating_the_first(_enumerate_lhoms)),
+        ],
+        105,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "patches, failing", [row[1:] for row in _LIST_EDITS], ids=[row[0] for row in _LIST_EDITS]
+)
+def test_hom_bijection_report_matches_the_two_set_oracle(monkeypatch, patches, failing):
+    for name, replacement in patches:
+        monkeypatch.setattr(duality, name, replacement)
+    reports = [hom_bijection_report(x, y) for x, y in itertools.product(all_spaces(2, 3), repeat=2)]
+    assert reports == [
+        _two_set_hom_bijection_report(x, y) for x, y in itertools.product(all_spaces(2, 3), repeat=2)
+    ]
+    assert sum(bool(r["failures"]) for r in reports) == failing
+
+
+def test_equal_lists_with_a_repeat_report_both_repeats(monkeypatch):
+    monkeypatch.setattr(duality, "enumerate_homs", _repeating_the_first(_enumerate_homs))
+    monkeypatch.setattr(duality, "enumerate_lhoms", _repeating_the_first(_enumerate_lhoms))
+    assert hom_bijection_report(AB, AB)["failures"] == [
+        "duality is not injective on point maps",
+        "1 matrices are enumerated more than once",
+    ]
 
 
 def test_enumerate_lhoms_against_direct_construction():

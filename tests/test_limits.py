@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,7 +16,6 @@ from bms.limits import (
     equalizer,
     group_coproduct,
     group_product,
-    initial,
     limit,
     product,
     pullback,
@@ -26,7 +26,9 @@ from bms.mspace import (
     BmsMorphism,
     MultiSpace,
     compose,
+    compose_rows,
     enumerate_homs,
+    hom_factors,
     is_isomorphism,
     new_morphism,
     new_space,
@@ -234,6 +236,71 @@ def _assert_limit_is_naive(diagram):
     return fast
 
 
+def _tuple_by_tuple_limit(diagram):
+    """Oracle: ``limit`` as it was before the column build, each label, lcm
+    and leg row read along one tuple."""
+    item = tuple.__getitem__
+    objs = diagram.objects
+    components = limits._compatible_tuples(diagram)
+    labels = [o.labels for o in objs]
+    points = tuple(["(" + ",".join(map(item, labels, c)) + ")" for c in components])
+    mults_of = [o.mults for o in objs]
+    mults = tuple([math.lcm(*map(item, mults_of, c)) for c in components])
+    if max(mults, default=1) > INT_LIMIT:
+        over = next(p for p, m in zip(points, mults) if m > INT_LIMIT)
+        raise OverflowLimitError(f"lcm at point {over} exceeds the 64-bit bound")
+    apex = MultiSpace(points, mults)
+    legs = tuple(
+        BmsMorphism._trusted(
+            apex, o, tuple([(c[k], m // o.mults[c[k]]) for c, m in zip(components, mults)])
+        )
+        for k, o in enumerate(objs)
+    )
+    return Cone(apex, legs)
+
+
+def _outcome(build, diagram):
+    """The cone's apex labels, multiplicities and leg rows, or the type and
+    message of the exception it raises."""
+    try:
+        cone = build(diagram)
+    except Exception as e:  # compared, not swallowed
+        return type(e), str(e)
+    return cone.apex.labels, cone.apex.mults, [(l.dom, l.cod, l.rows) for l in cone.legs]
+
+
+def _assert_limit_is_tuple_by_tuple(diagram):
+    fast, slow = _outcome(limit, diagram), _outcome(_tuple_by_tuple_limit, diagram)
+    assert fast == slow, diagram
+    return fast
+
+
+def test_limit_matches_the_tuple_by_tuple_oracle():
+    rng = random.Random(20_251)
+    for _ in range(1000):
+        _assert_limit_is_tuple_by_tuple(_random_diagram(rng))
+    x, y = new_space(["a", "b"], [1, 2]), new_space(["c"], [3])
+    empty = new_space([], [])
+    assert _assert_limit_is_tuple_by_tuple(Diagram(())) == (("()",), (1,), [])
+    assert _assert_limit_is_tuple_by_tuple(Diagram((x, empty, y))) == (
+        (), (), [(empty, o, ()) for o in (x, empty, y)]
+    )
+    pt = new_space(["t"], [1])
+    f = new_morphism(x, pt, {"a": "t", "b": "t"})
+    assert _assert_limit_is_tuple_by_tuple(Diagram((empty, x, pt), ((1, 2, f),)))[0] == ()
+    assert _assert_limit_is_tuple_by_tuple(Diagram((x,)))[1] == x.mults
+    commas = Diagram((new_space(["a,b", "a"], [1, 1]), new_space(["c", "b,c"], [1, 1])))
+    assert _assert_limit_is_tuple_by_tuple(commas) == (
+        SchemaError, "duplicate point label '(a,b,c)'"
+    )
+    over = Diagram((new_space(["a", "c"], [1, 2**62]), new_space(["b"], [3**39])))
+    assert _assert_limit_is_tuple_by_tuple(over) == (
+        OverflowLimitError, "lcm at point (c,b) exceeds the 64-bit bound"
+    )
+    refused = Diagram((new_space([f"p{i}" for i in range(12)], [1] * 12),) * 5)
+    assert _assert_limit_is_tuple_by_tuple(refused)[0] is SizeLimitError
+
+
 def _random_morphism(rng, dom, cod):
     """A random morphism dom -> cod, or None when there is none."""
     rows = []
@@ -315,7 +382,6 @@ def test_coproduct_examples():
     x = new_space(["a", "b"], [1, 2])
     cc2 = coproduct(x, new_space([], []))
     assert cc2.apex.mults == x.mults
-    assert initial() == new_space([], [])
 
 
 def _naive_universal(candidate, diagram, test_apexes):
@@ -390,15 +456,21 @@ def _with_a_point_duplicated_or_dropped(cone):
         yield Cone(cut, tuple(BmsMorphism(cut, l.cod, tuple(l.rows[j] for j in keep)) for l in cone.legs))
 
 
-def test_verify_universal_point_checks_match_naive_oracle():
+def _universal_cases():
+    """(cone, diagram): the products of all_spaces(2, 2) and the equalizers of
+    the parallel pairs of all_spaces(1, 3)."""
     pairs = itertools.product(all_spaces(2, 2), repeat=2)
     cases = [(product(x, y), Diagram((x, y))) for x, y in pairs]
     for x, y in itertools.product(all_spaces(1, 3), repeat=2):
         for f, g in itertools.product(enumerate_homs(x, y), repeat=2):
             cases.append((equalizer(f, g), Diagram((x, y), ((0, 1, f), (0, 1, g)))))
+    return cases
+
+
+def test_verify_universal_point_checks_match_naive_oracle():
     apexes = all_spaces(2, 2)
     seen = [0, 0]
-    for cone, diagram in cases:
+    for cone, diagram in _universal_cases():
         for candidate in _with_a_point_duplicated_or_dropped(cone):
             report = verify_universal(candidate, diagram, apexes)
             naive = _naive_universal(candidate, diagram, apexes)
@@ -406,6 +478,74 @@ def test_verify_universal_point_checks_match_naive_oracle():
             assert report["cones"] == _naive_cone_count(diagram, apexes)
             seen[bool(naive)] += 1
     assert min(seen) > 0
+
+
+def _per_probe_verify_universal(candidate, diagram, test_apexes):
+    """Oracle: ``verify_universal`` as it was before its set-up ran once per
+    call, with one ``hom_factors`` call per probe and two walks of the test
+    apexes after the probes."""
+    probes = {t.mults[0]: t for t in reversed(test_apexes) if len(t.mults) == 1}
+    apex_mults, legs = candidate.apex.mults, candidate.legs
+    ncones, found = {}, {}
+    for m in sorted({tm for t in test_apexes for tm in t.mults}):
+        point = probes.get(m)
+        if point is None:
+            point = MultiSpace(("t",), (m,))
+        mediators = {}
+        for row in hom_factors((m,), apex_mults)[0]:
+            key = tuple(compose_rows((row,), leg.rows) for leg in legs)
+            mediators[key] = mediators.get(key, 0) + 1
+        cones = limits._cones_from(point, diagram)
+        messages = []
+        for cone in cones:
+            n = mediators.get(tuple(l.rows for l in cone), 0)
+            if n != 1:
+                what = f"{n} mediating morphisms" if n else "no mediating morphism"
+                messages.append(f"{what} from {point!r} for cone {[l.targets for l in cone]}")
+        ncones[m] = len(cones)
+        found[m] = messages
+    total, decided = 0, set()
+    for t in test_apexes:
+        n = math.prod(ncones[tm] for tm in t.mults)
+        if n:
+            total += n
+            decided.update(t.mults)
+    return {"cones": total, "violations": [v for m in sorted(decided) for v in found[m]]}
+
+
+def test_verify_universal_reports_match_the_per_probe_oracle():
+    # The multiplicities 3 and 4 occur only in two-point apexes, so their
+    # probes are spaces built for the call; where one point of a two-point
+    # apex has no cone, the violations at the other are not reported.
+    two_point_only = all_spaces(1, 2) + [
+        new_space(["p1", "p2"], [3, 1]),
+        new_space(["q1", "q2"], [3, 4]),
+    ]
+    # Two one-point apexes share each multiplicity: the first is the probe.
+    twins = [new_space([l], [m]) for l in "uv" for m in (1, 2)]
+    apex_lists = [all_spaces(2, 2), two_point_only, twins, [new_space(["p1", "p2"], [2, 1])], []]
+    seen = [0, 0]
+    for cone, diagram in _universal_cases():
+        for candidate in _with_a_point_duplicated_or_dropped(cone):
+            for apexes in apex_lists:
+                report = verify_universal(candidate, diagram, apexes)
+                assert report == _per_probe_verify_universal(candidate, diagram, apexes)
+                seen[bool(report["violations"])] += 1
+    assert min(seen) > 0, seen
+
+
+def test_verify_universal_looks_up_the_homs_cache_twice_per_probe():
+    # The benchmark reports limits._homs.hit_ratio, and its self-test needs
+    # it above zero on the limit law: each probe of a product reaches the
+    # cache once per object.
+    x, y = new_space(["a", "b"], [1, 2]), new_space(["c"], [3])
+    apexes = all_spaces(2, 3)
+    before = limits._homs.cache_info()
+    verify_universal(product(x, y), Diagram((x, y)), apexes)
+    after = limits._homs.cache_info()
+    probes = len({m for t in apexes for m in t.mults})
+    assert (after.hits + after.misses) - (before.hits + before.misses) == 2 * probes
+    assert after.hits > before.hits
 
 
 def test_verify_universal_reports_only_what_a_test_apex_decides():
