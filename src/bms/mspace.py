@@ -12,7 +12,10 @@ point's candidate rows, the dividing targets with multiplier m // n, and
 every hom-set is counted, enumerated or streamed from these factors.
 
 One row rule, ``_checked_row``, checks rows.  Calling ``BmsMorphism`` runs
-it on every row, and so do ``new_morphism`` (label maps),
+it on every row: a row that is a 2-tuple of ints satisfying the rule passes
+one inline test, and any other row goes to ``_checked_row``, which refuses
+it or returns it as a tuple, as ``MultiSpace`` tests its multiplicities.
+So do ``new_morphism`` (label maps),
 ``sgroup.validate_lhom`` (one dense matrix) and ``duality.spectrum_map``,
 ``duality.unit_iso`` and ``duality.counit_iso``, whose rows are valid only
 if the spectrum's residues are right.  ``homs_from_factors`` runs it once
@@ -169,12 +172,26 @@ class BmsMorphism:
                 raise SchemaError(
                     f"rows must be a sequence of (index, multiplier) pairs, got {rows!r}"
                 ) from None
-        if len(rows) != len(dom.mults):
-            raise SchemaError(f"{len(rows)} rows for {len(dom.mults)} points")
-        checked_rows = []
+        dom_mults, cod_mults = dom.mults, cod.mults
+        if len(rows) != len(dom_mults):
+            raise SchemaError(f"{len(rows)} rows for {len(dom_mults)} points")
+        n = len(cod_mults)
+        converted = None
         for i, row in enumerate(rows):
-            checked_rows.append(_checked_row(dom, cod, i, row))
-        _set_rows(self, tuple(checked_rows))
+            if type(row) is tuple and len(row) == 2:
+                j, z = row
+                if (
+                    type(j) is int
+                    and type(z) is int
+                    and 0 <= j < n
+                    and z * cod_mults[j] == dom_mults[i]
+                ):
+                    continue
+            # refuses the row as the row rule does, or returns it as a tuple
+            if converted is None:
+                converted = list(rows)
+            converted[i] = _checked_row(dom, cod, i, row)
+        _set_rows(self, rows if converted is None else tuple(converted))
 
     @staticmethod
     def _trusted(dom: MultiSpace, cod: MultiSpace, rows: Rows) -> BmsMorphism:

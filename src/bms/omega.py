@@ -9,18 +9,27 @@ elimination and replays three category-level obstructions: a unital
 l-subgroup with too few singular elements, the discontinuous multiplicity
 of a would-be countable power, and the forced multiplicities of a missing
 pushout.
+
+Values are checked once, where they enter: calling ``ECSeq`` checks the
+tail and every prefix value against ``INT_LIMIT``.  The pointwise
+operations pad both prefixes with their tails to one length and build their
+results unchecked, only stripped to canonical form: ``ec_meet``,
+``ec_join`` and ``ec_neg`` cannot leave the symmetric bound, and ``ec_add``
+and ``ec_sub`` test their result's extremes once and pass a result beyond
+the bound to the checked constructor, which names the value.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import SchemaError, SizeLimitError
 from .intlinalg import Certificate, solve_integer_system
-from .ints import checked, checked_lcm, require_int
+from .ints import INT_LIMIT, checked, checked_lcm, require_int
 
 __all__ = [
     "INFINITY",
@@ -84,6 +93,10 @@ class ECSeq:
         return f"ECSeq([{body}],{self.tail})"
 
 
+_new = object.__new__
+_setattr = object.__setattr__
+
+
 def const(c: int) -> ECSeq:
     return ECSeq((), c)
 
@@ -101,38 +114,65 @@ def indicator(positions: Iterable[int]) -> ECSeq:
 
 
 def ec_value(a: ECSeq, p: OmegaPoint) -> int:
-    """Value at a natural number, or at infinity (the tail)."""
+    """Value at a natural number, or at infinity (the tail).  A bool is no
+    natural number."""
     if isinstance(p, _Infinity):
         return a.tail
-    if not isinstance(p, int) or p < 0:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise SchemaError(f"evaluation point must be a natural number or INFINITY, got {p!r}")
     return a.prefix[p] if p < len(a.prefix) else a.tail
 
 
-def _zip_with(a: ECSeq, b: ECSeq, op) -> ECSeq:
-    n = max(len(a.prefix), len(b.prefix))
-    vals = tuple(op(ec_value(a, i), ec_value(b, i)) for i in range(n))
-    return ECSeq(vals, op(a.tail, b.tail))
+def _canonical(prefix: tuple[int, ...], tail: int) -> ECSeq:
+    """The sequence of checked values, stripped to canonical form without
+    checking them again."""
+    n = len(prefix)
+    while n and prefix[n - 1] == tail:
+        n -= 1
+    s = _new(ECSeq)
+    _setattr(s, "prefix", prefix if n == len(prefix) else prefix[:n])
+    _setattr(s, "tail", tail)
+    return s
+
+
+def _zip_with(a: ECSeq, b: ECSeq, op) -> tuple[tuple[int, ...], int]:
+    """``op`` at every position, both prefixes padded with their tails to
+    one length, and at the tail."""
+    pa, pb = a.prefix, b.prefix
+    pad = len(pa) - len(pb)
+    if pad > 0:
+        pb += (b.tail,) * pad
+    elif pad < 0:
+        pa += (a.tail,) * -pad
+    return tuple(map(op, pa, pb)), op(a.tail, b.tail)
+
+
+def _bounded(prefix: tuple[int, ...], tail: int) -> ECSeq:
+    """The sequence of a sum or difference, after one test of its extremes
+    against ``INT_LIMIT``; the checked constructor names a value beyond it."""
+    if abs(tail) > INT_LIMIT or prefix and (max(prefix) > INT_LIMIT or min(prefix) < -INT_LIMIT):
+        return ECSeq(prefix, tail)
+    return _canonical(prefix, tail)
 
 
 def ec_add(a: ECSeq, b: ECSeq) -> ECSeq:
-    return _zip_with(a, b, lambda x, y: x + y)
+    return _bounded(*_zip_with(a, b, operator.add))
 
 
 def ec_sub(a: ECSeq, b: ECSeq) -> ECSeq:
-    return _zip_with(a, b, lambda x, y: x - y)
+    return _bounded(*_zip_with(a, b, operator.sub))
 
 
 def ec_neg(a: ECSeq) -> ECSeq:
-    return ECSeq(tuple(-v for v in a.prefix), -a.tail)
+    return _canonical(tuple(map(operator.neg, a.prefix)), -a.tail)
 
 
 def ec_meet(a: ECSeq, b: ECSeq) -> ECSeq:
-    return _zip_with(a, b, min)
+    return _canonical(*_zip_with(a, b, min))
 
 
 def ec_join(a: ECSeq, b: ECSeq) -> ECSeq:
-    return _zip_with(a, b, max)
+    return _canonical(*_zip_with(a, b, max))
 
 
 def ec_is_singular(a: ECSeq) -> bool:

@@ -34,6 +34,12 @@ extremes against the bound once and raises ``OverflowLimitError`` beyond it.
 No other module reaches ``_trusted``: ``tests/test_trusted_scope.py`` fails
 if one does.
 
+A group compares and hashes as its base, with an identity test first, and
+an ``LHom`` as its point map, so an equal group or map built again hits the
+caches of ``duality``.  ``apply_lhom`` accepts, with one inline test, an
+element whose group wraps the very base of the map's domain, and passes
+anything else to ``_element``; it builds only the image's group.
+
 One private guard, ``_element``, decides whether an argument is an element
 and of which group; ``mv`` uses it too.  The per-case kernels ``meet``,
 ``join``, ``leq``, ``hyperarch_witness``, ``ClosedSetIdeal.contains`` and
@@ -103,6 +109,14 @@ class SpeckerGroup:
     """The group of integer vectors over a multispace, with unit = multiplicity."""
 
     base: MultiSpace
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SpeckerGroup:
+            return NotImplemented
+        return self.base is other.base or self.base == other.base
+
+    def __hash__(self) -> int:
+        return hash(self.base)
 
     def element(self, values: Iterable[int]) -> GroupElement:
         return GroupElement(self, values)
@@ -522,6 +536,14 @@ class LHom:
 
     point_map: BmsMorphism
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not LHom:
+            return NotImplemented
+        return self.point_map is other.point_map or self.point_map == other.point_map
+
+    def __hash__(self) -> int:
+        return hash(self.point_map)
+
     @property
     def dom(self) -> SpeckerGroup:
         return SpeckerGroup(self.point_map.cod)
@@ -589,11 +611,25 @@ def validate_lhom(
 
 
 def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
-    """The image k * f[c] at each codomain point, for its row (c, k)."""
+    """The image k * f[c] at each codomain point, for its row (c, k).
+
+    An element of a group that wraps the very base of ``h``'s domain passes
+    without further test; anything else goes through ``_element``."""
     if not isinstance(h, LHom):
         raise SchemaError(f"expected an l-homomorphism, got {h!r}")
-    values = _element(f, h.dom).values
-    return _bounded(h.cod, tuple([k * values[c] for c, k in h.rows]), "image value")
+    point_map = h.point_map
+    if (
+        type(f) is not GroupElement
+        or type(f.group) is not SpeckerGroup
+        or f.group.base is not point_map.cod
+    ):
+        _element(f, h.dom)
+    values = f.values
+    return _bounded(
+        SpeckerGroup(point_map.dom),
+        tuple([k * values[c] for c, k in point_map.rows]),
+        "image value",
+    )
 
 
 def identity_lhom(group: SpeckerGroup) -> LHom:

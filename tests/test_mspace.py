@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bms import cli, duality, limits, sgroup
+from bms import cli, duality, limits, mspace, sgroup
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError, SizeLimitError
 from bms.ints import INT_LIMIT
 from bms.laws import all_spaces
@@ -319,6 +320,69 @@ def test_checked_paths_still_refuse_bad_rows():
         duality.spectrum_map(bad)
     with pytest.raises(DivisibilityError):
         sgroup.validate_lhom([[1, 0]], sgroup.SpeckerGroup(y), sgroup.SpeckerGroup(x))
+
+
+def _per_row_rows(dom, cod, rows):
+    """The rows the checked constructor stores, as ``_checked_row`` of every
+    row in turn, after the container and row-count checks."""
+    if type(rows) is not tuple:
+        try:
+            rows = tuple(rows)
+        except TypeError:
+            raise SchemaError(
+                f"rows must be a sequence of (index, multiplier) pairs, got {rows!r}"
+            ) from None
+    if len(rows) != len(dom.mults):
+        raise SchemaError(f"{len(rows)} rows for {len(dom.mults)} points")
+    return tuple([mspace._checked_row(dom, cod, i, row) for i, row in enumerate(rows)])
+
+
+def _rows_outcome(build, *args):
+    try:
+        rows = build(*args)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return rows, [type(row) for row in rows]
+
+
+class _Int(int):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "j z")
+
+# Rows for points of multiplicity 2 and 6 into multiplicities (1, 2, 3):
+# valid for either point, for one of them only, or for neither.
+ROW_GRID = (
+    (0, 2), (1, 1), (0, 6), (1, 3), (2, 2),          # tuples satisfying the rule at one point
+    [1, 1], [2, 2], Pair(0, 2), Pair(1, 3),          # valid rows given as other sequences
+    (0, 1), (2, 1), (1, 2),                          # divisibility failures
+    (-1, 2), (3, 1), (2**70, 1),                     # negative or out-of-range indices
+    (True, 2), (0, True), (False, 6),                # bool entries
+    (_Int(0), 2), (1, _Int(3)), (0, 2.0),            # int-subclass and float entries
+    (0,), (0, 2, 9), (), "02", 5, None,              # not a pair, or not iterable
+)
+
+
+def test_checked_rows_match_the_per_row_oracle():
+    """Every pair of rows of ``ROW_GRID``, as a tuple, a list and an iterator
+    of rows, with one row too few and one too many: the constructor stores
+    the oracle's rows, each a tuple, or raises its exception with its
+    message, the first faulty row's."""
+    dom = new_space(["a", "b"], [2, 6])
+    cod = new_space(["x", "y", "z"], [1, 2, 3])
+    build = lambda *args: BmsMorphism(*args).rows
+    seen = set()
+    shapes = (tuple, list, iter, lambda p: p[:1], lambda p: p + p[:1])
+    for pair in itertools.product(ROW_GRID, repeat=2):
+        for shape in shapes:
+            expected = _rows_outcome(_per_row_rows, dom, cod, shape(pair))
+            assert _rows_outcome(build, dom, cod, shape(pair)) == expected, pair
+            seen.add(expected[0] if isinstance(expected[0], type) else "value")
+    assert seen == {"value", SchemaError, DivisibilityError}
+    for rows in (5, None):
+        expected = _rows_outcome(_per_row_rows, dom, cod, rows)
+        assert _rows_outcome(build, dom, cod, rows) == expected
 
 
 def test_space_hash_is_cached_and_agrees_with_equality():

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -66,6 +67,17 @@ def test_ec_value_examples():
         ec_value(a, -1)
 
 
+def test_ec_value_refuses_a_bool_point():
+    """A bool is no natural number, as it is no sequence value: True is not
+    read as position 1."""
+    a = ECSeq((5, 7), 9)
+    for p in (True, False):
+        with pytest.raises(SchemaError) as info:
+            ec_value(a, p)
+        assert str(info.value) == f"evaluation point must be a natural number or INFINITY, got {p!r}"
+    assert ec_value(a, 1) == 7 and ec_value(a, 0) == 5
+
+
 def test_op_examples():
     assert ec_add(const(1), const(1)) == const(2)
     assert ec_meet(indicator([0]), indicator([1])) == const(0)
@@ -85,6 +97,68 @@ def test_ops_refuse_results_past_the_64_bit_bound():
     with pytest.raises(OverflowLimitError):
         ec_sub(const(-2), const(INT_LIMIT))
     assert ec_add(const(INT_LIMIT - 1), const(1)) == const(INT_LIMIT)
+
+
+def _zip_with_by_ec_value(a, b, op):
+    """``_zip_with`` as an ``ec_value`` call per index, with every value of
+    the result checked by the ``ECSeq`` constructor."""
+    n = max(len(a.prefix), len(b.prefix))
+    vals = tuple(op(ec_value(a, i), ec_value(b, i)) for i in range(n))
+    return ECSeq(vals, op(a.tail, b.tail))
+
+
+ORACLE_OPS = {
+    "ec_add": (ec_add, lambda a, b: _zip_with_by_ec_value(a, b, lambda x, y: x + y)),
+    "ec_sub": (ec_sub, lambda a, b: _zip_with_by_ec_value(a, b, lambda x, y: x - y)),
+    "ec_meet": (ec_meet, lambda a, b: _zip_with_by_ec_value(a, b, min)),
+    "ec_join": (ec_join, lambda a, b: _zip_with_by_ec_value(a, b, max)),
+    "ec_neg": (
+        lambda a, b: ec_neg(a),
+        lambda a, b: ECSeq(tuple(-v for v in a.prefix), -a.tail),
+    ),
+}
+
+
+def _op_outcome(op, a, b):
+    try:
+        r = op(a, b)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return type(r), type(r.prefix), r.prefix, r.tail, hash(r)
+
+
+def test_ops_match_the_per_index_oracle():
+    """Whole results, or exception type and message, on a seeded grid: prefixes of
+    0-5 values (so of different lengths), small values (so that results end
+    in values equal to their tail and are stripped) and values at and next
+    to -INT_LIMIT and INT_LIMIT (so that sums and differences pass the bound
+    in the prefix, in the tail or in both)."""
+    rng = random.Random(30)
+    values = (0, 1, -1, 2, INT_LIMIT, -INT_LIMIT, INT_LIMIT - 1, -INT_LIMIT + 1)
+
+    def draw():
+        small = rng.random() < 0.5
+        pick = (lambda: rng.randint(-1, 1)) if small else (lambda: rng.choice(values))
+        return ECSeq(tuple(pick() for _ in range(rng.randint(0, 5))), pick())
+
+    seen = collections.Counter()
+    for _ in range(3000):
+        a, b = draw(), draw()
+        for name, (op, oracle) in ORACLE_OPS.items():
+            expected = _op_outcome(oracle, a, b)
+            assert _op_outcome(op, a, b) == expected, (name, a, b)
+            if expected[0] is ECSeq:
+                n = len(a.prefix) if name == "ec_neg" else max(len(a.prefix), len(b.prefix))
+                seen[name, "stripped" if len(expected[2]) < n else "value"] += 1
+            else:
+                seen[name, expected[1].split(" ")[0]] += 1
+    for name in ("ec_add", "ec_sub", "ec_meet", "ec_join"):
+        assert seen[name, "value"] and seen[name, "stripped"], name
+    for name in ("ec_add", "ec_sub"):
+        assert seen[name, "tail"] and seen[name, "prefix"], name
+    assert {kind for name, kind in seen if name in ("ec_neg", "ec_meet", "ec_join")} <= {
+        "value", "stripped"
+    }
 
 
 def test_indicator_of_many_positions_is_linear():

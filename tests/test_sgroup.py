@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bms import sgroup
+from bms import duality, sgroup
 from bms.duality import enumerate_lhoms
 from bms.errors import DivisibilityError, OverflowLimitError, SchemaError, SizeLimitError
 from bms.ints import INT_LIMIT, checked
@@ -478,6 +478,57 @@ def test_an_element_of_another_group_is_refused():
     ]:
         with pytest.raises(SchemaError, match="belongs to a different group"):
             call()
+
+
+def test_groups_and_lhoms_compare_and_hash_through_what_they_wrap():
+    """A group over an equal but distinct space equals the original, hashes
+    the same and so hits the ``duality`` caches; an l-homomorphism compares
+    and hashes as its point map.  Neither equals what it wraps."""
+    x = new_space(["c1", "c2"], [3, 5])
+    g, twin = SpeckerGroup(x), SpeckerGroup(new_space(["c1", "c2"], [3, 5]))
+    assert twin.base is not x and twin == g and g == twin and hash(twin) == hash(g)
+    assert g != x and x != g and len({g, x}) == 2
+    assert g != SpeckerGroup(new_space(["c1", "c2"], [5, 3]))
+    assert g != SpeckerGroup(new_space(["c2", "c1"], [3, 5]))
+    for cached in (duality.spectrum_space, duality.counit_iso):
+        cached(g)
+        hits = cached.cache_info().hits
+        assert cached(twin) == cached(g)
+        assert cached.cache_info().hits == hits + 2
+    h, h_twin = identity_lhom(g), identity_lhom(twin)
+    assert h.point_map is not h_twin.point_map
+    assert h == h_twin and hash(h) == hash(h_twin) and len({h, h_twin}) == 1
+    assert h != h.point_map and h.point_map != h and len({h, h.point_map}) == 2
+    rows = ((0, 1), (1, 1))
+    assert LHom(BmsMorphism(x, x, rows)) == h
+    assert LHom(BmsMorphism(x, new_space(["c1", "c2"], [3, 5]), rows)) == h
+    assert LHom(BmsMorphism(x, new_space(["d1", "d2"], [3, 5]), rows)) != h
+
+
+def test_apply_lhom_tests_the_element_once_against_its_domain():
+    """An element of the domain's own base passes the inline test, one of an
+    equal but distinct group passes the guard, and one of another group, or
+    anything else, is refused with the guard's message."""
+    x = new_space(["c1", "c2"], [1, 2])
+    y = new_space(["d"], [2])
+    h = LHom(BmsMorphism(y, x, ((1, 1),)))        # SpeckerGroup(x) -> SpeckerGroup(y)
+    for dom in (h.dom, SpeckerGroup(x), SpeckerGroup(new_space(["c1", "c2"], [1, 2]))):
+        image = apply_lhom(h, dom.element((4, 7)))
+        assert image == h.cod.element((7,)) and image.group.base is y
+    other = grp(2, 1, labels=["c1", "c2"]).element((4, 7))
+    with pytest.raises(SchemaError) as info:
+        apply_lhom(h, other)
+    assert str(info.value) == (
+        "GroupElement(4, 7) belongs to a different group than SpeckerGroup(unit=(1, 2))"
+    )
+    with pytest.raises(SchemaError, match="belongs to a different group"):
+        apply_lhom(h, h.cod.element((7,)))
+    fake = SimpleNamespace(group=SpeckerGroup(x), values=(4, 7))
+    with pytest.raises(SchemaError, match="expected a group element, got namespace"):
+        apply_lhom(h, fake)
+    over_a_fake_group = GroupElement(SimpleNamespace(base=x), (4, 7))
+    with pytest.raises(SchemaError, match="belongs to a different group"):
+        apply_lhom(h, over_a_fake_group)
 
 
 def test_hyperarch_witness_refuses_a_negative_second_argument():
