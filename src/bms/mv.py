@@ -12,6 +12,13 @@ without materializing the element set.  The test oracle
 tables from their values and runs the same equation kernel on them, so the
 two differ only in the product decomposition.
 
+The kernel runs over plain lists of index tables.  Associativity is decided
+by Light's test: the elements a with (x (+) a) (+) y = x (+) (a (+) y) for
+all x and y are closed under (+), so the table is associative iff every
+element of a generating set passes.  A greedy closure finds such a set in
+O(m^2) ({0, 1} for a chain), so the test costs O(m^2) per generator; only a
+failing table is scanned triple by triple for its first failure.
+
 Element arguments go through ``sgroup``'s element guard, so they are
 refused with the same SchemaError as there.
 """
@@ -20,16 +27,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator, Sequence
 
 from .errors import SchemaError, SizeLimitError
 from .sgroup import GroupElement, LHom, SpeckerGroup, _element, apply_lhom, leq, meet
-
-# numpy is imported by the three functions that build tables, so importing
-# ``bms`` (and every ``bms`` command that checks no MV axiom) does not load it.
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FiberComponent",
@@ -47,13 +50,13 @@ __all__ = [
 ]
 
 
-# Longest chain [0, n] that verify_mv_axioms checks.  Its associativity sweep
-# costs O(n^3) time in O(n^2) memory: about 0.05 s at n = 256 on a 2-core
-# Xeon, so one gamma request stays well under a second.
+# Longest chain [0, n] that verify_mv_axioms checks.  Its kernel costs
+# O(n^2) time and memory: about 0.015 s at n = 256 on a 2-core Xeon,
+# so one gamma request stays well under a second.
 CHAIN_LIMIT = 256
 # Largest algebra the exhaustive oracle accepts.  At the cap it takes about
-# 0.5 s on a 2-core Xeon, half in the Python build of the 400 x 400 plus
-# table from element tuples and half in the chain kernel, in under 7 MB.
+# 0.12-0.23 s on a 2-core Xeon, most of it in the build of the 400 x 400 plus
+# table from element tuples, in under 7 MB.
 EXHAUSTIVE_CAP = 400
 
 
@@ -121,13 +124,12 @@ def verify_mv_axioms(group: SpeckerGroup) -> dict:
     The algebra is the product of the non-empty chains [0, n], one per base
     point, and an equation holds in a product of non-empty algebras iff it
     holds in every factor (Birkhoff).  So each distinct n from
-    ``fiber_decomposition`` is checked once, on (n+1) x (n+1) tables with
-    plus = min(i + j, n) and neg = n - i.  The equations are the 0 law,
-    absorption by neg 0, involution of negation, commutativity, the exchange
-    equation x (+) neg(x (+) neg y) = y (+) neg(y (+) neg x), and
-    associativity, which runs one x-slice at a time.  The cost is the sum
-    over distinct n of O(n^3) time in O(n^2) memory; the empty base has no
-    chains and passes as the one-element algebra.
+    ``fiber_decomposition`` is checked once, on the (n+1) x (n+1) tables of
+    ``_chain_tables``.  The equations are the 0 law, absorption by neg 0,
+    involution of negation, commutativity, the exchange equation
+    x (+) neg(x (+) neg y) = y (+) neg(y (+) neg x), and associativity.  The
+    cost is the sum over distinct n of O(n^2) time and memory; the empty base
+    has no chains and passes as the one-element algebra.
 
     Raises SizeLimitError, before any table is built, when a unit value
     exceeds CHAIN_LIMIT.  ``cardinality`` in the report is the closed form.
@@ -139,46 +141,72 @@ def verify_mv_axioms(group: SpeckerGroup) -> dict:
         raise SizeLimitError(
             f"unit value {max(chains)} exceeds the chain limit {CHAIN_LIMIT} of gamma"
         )
-    import numpy as np
-
     violations = []
     for n in chains:
-        idx = np.arange(n + 1)
-        plus = np.minimum(idx[:, None] + idx[None, :], n)
-        violations += _table_violations(plus, n - idx, f"on chain [0,{n}]")
+        plus, neg = _chain_tables(n)
+        violations += _table_violations(plus, neg, f"on chain [0,{n}]")
     return {"cardinality": cardinality(group), "violations": violations, "pass": not violations}
 
 
-def _table_violations(plus: np.ndarray, neg: np.ndarray, where: str) -> list[str]:
-    """Failed MV equations of the index tables of an algebra on 0..m-1 with
-    zero 0; ``where`` names the algebra in the messages."""
-    import numpy as np
+def _chain_tables(n: int) -> tuple[list[list[int]], list[int]]:
+    """The plus and neg index tables of the chain [0, n]: min(i + j, n) and n - i."""
+    return [[*range(i, n + 1), *[n] * i] for i in range(n + 1)], [*range(n, -1, -1)]
 
-    idx = np.arange(len(neg))
+
+def _table_violations(plus: Sequence[Sequence[int]], neg: Sequence[int], where: str) -> list[str]:
+    """Failed MV equations of the index tables of an algebra on 0..m-1 with
+    zero 0; ``where`` names the algebra in the messages, and a failed exchange
+    equation or associativity its first failing x, y (and z)."""
+    plus = [tuple(row) for row in plus]
+    cols = [*zip(*plus)]
+    idx = tuple(range(len(neg)))
     violations = []
 
-    if not np.array_equal(plus[:, 0], idx):
+    if cols[0] != idx:
         violations.append(f"x (+) 0 = x fails {where}")
-    if not np.all(plus[:, neg[0]] == neg[0]):
+    if cols[neg[0]] != (neg[0],) * len(idx):
         violations.append(f"x (+) neg 0 = neg 0 fails {where}")
-    if not np.array_equal(neg[neg], idx):
+    if tuple([neg[v] for v in neg]) != idx:
         violations.append(f"neg neg x = x fails {where}")
-    if not np.array_equal(plus, plus.T):
+    if cols != plus:
         violations.append(f"commutativity fails {where}")
 
-    xy = plus[idx[:, None], neg[plus[idx[:, None], neg[None, :]]]]
-    if not np.array_equal(xy, xy.T):
-        i, j = map(int, np.argwhere(xy != xy.T)[0])
+    xy = [tuple([row[neg[row[v]]] for v in neg]) for row in plus]
+    if (yx := [*zip(*xy)]) != xy:
+        i, j = next((i, j) for i, j in itertools.product(idx, repeat=2) if xy[i][j] != yx[i][j])
         violations.append(f"exchange equation fails {where} at x={i} y={j}")
 
-    for x in idx:
-        left = plus[plus[x]]        # [y, z] -> (x+y)+z
-        right = plus[x][plus]       # [y, z] -> x+(y+z)
-        if not np.array_equal(left, right):
-            j, k = map(int, np.argwhere(left != right)[0])
-            violations.append(f"associativity fails {where} at x={x} y={j} z={k}")
-            break
+    # Light's test, (x (+) a) (+) y = x (+) (a (+) y), of each generator a
+    if not all(
+        plus[row[a]] == tuple([row[v] for v in plus[a]])
+        for a in _generators(plus)
+        for row in plus
+    ):
+        x, y, z = next(
+            (x, y, z) for x, y, z in itertools.product(idx, repeat=3)
+            if plus[plus[x][y]][z] != plus[x][plus[y][z]]
+        )
+        violations.append(f"associativity fails {where} at x={x} y={y} z={z}")
     return violations
+
+
+def _generators(plus: list[tuple[int, ...]]) -> Iterator[int]:
+    """Indices that generate every index under (+), in index order: an index
+    is taken when the sums found so far miss it.  Each pair of found indices
+    is summed once, in O(m^2)."""
+    found: set[int] = set()
+    summed: list[int] = []
+    for g in range(len(plus)):
+        if g not in found:
+            yield g
+            found.add(g)
+            queue = [g]
+            while queue:
+                e = queue.pop()
+                summed.append(e)
+                new = {plus[e][c] for c in summed} - found
+                found |= new
+                queue += new
 
 
 def verify_mv_axioms_exhaustive(group: SpeckerGroup) -> dict:
@@ -196,18 +224,15 @@ def verify_mv_axioms_exhaustive(group: SpeckerGroup) -> dict:
         raise SizeLimitError(
             f"algebra of {size} elements exceeds the exhaustive cap {EXHAUSTIVE_CAP}"
         )
-    import numpy as np
-
     # elements yields the all-zero tuple first, the zero at index 0 that
     # _table_violations requires
     elems = [e.values for e in elements(group)]
     index = {x: i for i, x in enumerate(elems)}
     unit = group.unit().values
-    plus = np.array([
-        [index[tuple(min(a + b, u) for a, b, u in zip(x, y, unit))] for y in elems]
-        for x in elems
-    ])
-    neg = np.array([index[tuple(u - a for a, u in zip(x, unit))] for x in elems])
+    plus = [
+        [index[tuple(map(min, map(operator.add, x, y), unit))] for y in elems] for x in elems
+    ]
+    neg = [index[tuple(map(operator.sub, unit, x))] for x in elems]
     violations = _table_violations(plus, neg, f"on unit {group.base.mults}")
     return {"cardinality": len(elems), "violations": violations, "pass": not violations}
 

@@ -21,8 +21,9 @@ again: identity rows (i, 1) and composites of checked rows satisfy the
 divisibility rule by construction.
 
 Element values are validated once, where they enter: calling
-``GroupElement`` (and so ``SpeckerGroup.element``) checks the length and
-that every value is an int, not a bool, with |v| <= ``INT_LIMIT``.
+``GroupElement`` (and so ``SpeckerGroup.element``) checks that the group is
+a ``SpeckerGroup``, the length, and that every value is an int, not a bool,
+with |v| <= ``INT_LIMIT``.
 Operations whose results stay in range by construction build elements
 without checking again.  ``meet`` and ``join`` build theirs in place, as
 ``_trusted`` does; unary ``-`` and ``abs`` (the bound is symmetric) and
@@ -135,14 +136,16 @@ class SpeckerGroup:
 class GroupElement:
     """An integer vector indexed by the base points of its group.
 
-    Calling the class validates ``values``; any iterable of ints is stored
-    as a tuple.
+    Calling the class validates ``group`` and ``values``; any iterable of
+    ints is stored as a tuple.
     """
 
     group: SpeckerGroup
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.group) is not SpeckerGroup:
+            raise SchemaError(f"expected a Specker group, got {self.group!r}")
         values = tuple(self.values)
         if len(values) != len(self.group.base):
             raise SchemaError(
@@ -618,11 +621,7 @@ def apply_lhom(h: LHom, f: GroupElement) -> GroupElement:
     if not isinstance(h, LHom):
         raise SchemaError(f"expected an l-homomorphism, got {h!r}")
     point_map = h.point_map
-    if (
-        type(f) is not GroupElement
-        or type(f.group) is not SpeckerGroup
-        or f.group.base is not point_map.cod
-    ):
+    if type(f) is not GroupElement or f.group.base is not point_map.cod:
         _element(f, h.dom)
     values = f.values
     return _bounded(

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,7 @@ SPACE_AB = {"points": [{"label": "a", "mult": 1}, {"label": "b", "mult": 2}]}
 SPACE_X4 = {"points": [{"label": "x", "mult": 4}]}
 SPACE_V2 = {"points": [{"label": "v", "mult": 2}]}
 MORPH_XV = {"dom": SPACE_X4, "cod": SPACE_V2, "map": {"x": "v"}}
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def write(tmp_path, name, data):
@@ -259,13 +261,42 @@ def test_gamma_answers_without_enumerating(tmp_path, capsys):
     assert report["cardinality"] == 2401 and report["axioms"] == "pass"
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    """numpy is imported by the MV table checks that use it, not by
-    ``import bms.cli``, so commands that check no MV axiom skip its import."""
+NO_NUMPY_SCRIPT = """
+import contextlib, hashlib, importlib, io, json, pkgutil, sys
+sys.modules["numpy"] = None
+import bms
+for module in pkgutil.iter_modules(bms.__path__):
+    importlib.import_module("bms." + module.name)
+from bms.cli import main
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(json.loads(argv))
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())
+"""
+
+
+def test_bms_runs_with_numpy_unimportable(tmp_path):
+    """Every ``bms`` module imports, and gamma and laws write the bytes they
+    wrote when ``mv`` checked its tables with numpy, in a process where
+    ``import numpy`` fails."""
+    chain = {"points": [{"label": "a", "mult": 256}, {"label": "b", "mult": 1}]}
+    runs = [
+        (["gamma", str(GOLDEN_INPUTS / "gamma_4_4_4_2.json")],
+         "470f75393ad069b9f470b48c76a3f649fd3773af415e3740abb19374b09b4710"),
+        (["gamma", write(tmp_path, "g256.json", {"space": chain})],
+         "9955d1c581c7f2b95e46f52810cca4e26ef353c408b311e289811dc8dfce5e97"),
+        (["laws"], "395cbd7da4da0d498ad52825eae384e707232ffcc7fda7a249365d6b5b25a74e"),
+    ]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    script = "import sys, bms.cli\nassert 'numpy' not in sys.modules, 'numpy loaded'\n"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_SCRIPT, *[json.dumps(argv) for argv, _ in runs]],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
     assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().splitlines() == [f"0 {digest}" for _, digest in runs]
 
 
 def test_gamma_above_chain_limit_is_math_domain_error(tmp_path, capsys):

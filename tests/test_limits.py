@@ -615,8 +615,12 @@ def test_verify_universal_builds_one_probe_per_multiplicity_without_one(monkeypa
 def test_verify_couniversal_coproduct():
     x = new_space(["a"], [2])
     y = new_space(["b", "c"], [1, 2])
-    report = verify_couniversal(coproduct(x, y), all_spaces(2, 4))
+    apexes = all_spaces(2, 4)
+    report = verify_couniversal(coproduct(x, y), apexes)
     assert report["violations"] == []
+    assert report["cocones"] == sum(
+        len(enumerate_homs(x, t)) * len(enumerate_homs(y, t)) for t in apexes
+    )
 
 
 def test_limit_law_sweep_small():

@@ -3,7 +3,6 @@ import itertools
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +13,8 @@ from bms.laws import all_groups, check_gamma_laws
 from bms.limits import group_product
 from bms.mspace import new_morphism, new_space
 from bms.mv import (
+    _chain_tables,
+    _generators,
     _table_violations,
     CHAIN_LIMIT,
     EXHAUSTIVE_CAP,
@@ -124,6 +125,37 @@ def test_per_chain_verdict_matches_oracle_on_random_units(mults):
     assert verify_mv_axioms(algebra) == verify_mv_axioms_exhaustive(algebra)
 
 
+# Every violation of each broken row of the test below, keyed by the equation
+# it breaks: the messages, with their first failing positions, are those the
+# kernel gave when it ran on numpy arrays.
+BROKEN_TABLE_VIOLATIONS = {
+    "x (+) 0 = x": [
+        "x (+) 0 = x fails on [0,3]",
+        "exchange equation fails on [0,3] at x=0 y=1",
+        "associativity fails on [0,3] at x=0 y=1 z=1",
+    ],
+    "x (+) neg 0 = neg 0": [
+        "x (+) neg 0 = neg 0 fails on [0,3]",
+        "exchange equation fails on [0,3] at x=0 y=1",
+        "associativity fails on [0,3] at x=1 y=1 z=2",
+    ],
+    "neg neg x = x": [
+        "neg neg x = x fails on [0,3]",
+        "exchange equation fails on [0,3] at x=0 y=1",
+    ],
+    "commutativity": [
+        "commutativity fails on [0,3]",
+        "exchange equation fails on [0,3] at x=1 y=3",
+        "associativity fails on [0,3] at x=1 y=1 z=1",
+    ],
+    "exchange equation": ["exchange equation fails on [0,3] at x=1 y=2"],
+    "associativity": [
+        "exchange equation fails on [0,3] at x=1 y=3",
+        "associativity fails on [0,3] at x=1 y=1 z=2",
+    ],
+}
+
+
 @pytest.mark.parametrize("plus_edits, neg, equation", [
     ({(2, 0): 3, (0, 2): 3}, None, "x (+) 0 = x"),
     ({(3, 1): 0, (1, 3): 0}, None, "x (+) neg 0 = neg 0"),
@@ -133,13 +165,61 @@ def test_per_chain_verdict_matches_oracle_on_random_units(mults):
     ({(1, 2): 2, (2, 1): 2}, None, "associativity"),
 ])
 def test_chain_kernel_reports_each_broken_equation(plus_edits, neg, equation):
-    idx = np.arange(4)
-    plus = np.minimum(idx[:, None] + idx[None, :], 3)
-    assert _table_violations(plus, 3 - idx, "on [0,3]") == []
-    for cell, value in plus_edits.items():
-        plus[cell] = value
-    neg = 3 - idx if neg is None else np.array(neg)
-    assert any(v.startswith(equation) for v in _table_violations(plus, neg, "on [0,3]"))
+    plus, chain_neg = _chain_tables(3)
+    assert plus == [[min(i + j, 3) for j in range(4)] for i in range(4)]
+    assert chain_neg == [3, 2, 1, 0]
+    assert _table_violations(plus, chain_neg, "on [0,3]") == []
+    for (i, j), value in plus_edits.items():
+        plus[i][j] = value
+    violations = _table_violations(plus, chain_neg if neg is None else neg, "on [0,3]")
+    assert violations == BROKEN_TABLE_VIOLATIONS[equation]
+
+
+def test_light_generators_are_zero_and_the_atoms():
+    """Light's test runs once per generator: 0 and 1 for a chain, 0 and the
+    atoms for a product of chains (elements in ``elements`` order)."""
+    plus, _ = _chain_tables(CHAIN_LIMIT)
+    assert list(_generators([tuple(row) for row in plus])) == [0, 1]
+    elems = list(itertools.product(range(2), range(3), range(2)))
+    plus = [
+        tuple(elems.index((min(a + x, 1), min(b + y, 2), min(c + z, 1))) for x, y, z in elems)
+        for a, b, c in elems
+    ]
+    assert [elems[g] for g in _generators(plus)] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+
+def associativity_by_triples(plus, where):
+    """Oracle of the associativity message: the first failing (x, y, z) of a
+    plain scan over every triple."""
+    m = range(len(plus))
+    for x, y, z in itertools.product(m, repeat=3):
+        if plus[plus[x][y]][z] != plus[x][plus[y][z]]:
+            return [f"associativity fails {where} at x={x} y={y} z={z}"]
+    return []
+
+
+@st.composite
+def edited_tables(draw):
+    """A random table of at most 6 elements, or a chain's with up to two
+    edited cells; the chain's neg in both cases."""
+    n = draw(st.integers(0, 5))
+    plus, neg = _chain_tables(n)
+    index = st.integers(0, n)
+    if draw(st.booleans()):
+        row = st.lists(index, min_size=n + 1, max_size=n + 1)
+        plus = draw(st.lists(row, min_size=n + 1, max_size=n + 1))
+    else:
+        for i, j, value in draw(st.lists(st.tuples(index, index, index), max_size=2)):
+            plus[i][j] = value
+    return plus, neg
+
+
+@settings(max_examples=400, deadline=None)
+@given(edited_tables())
+def test_light_associativity_matches_the_triple_scan(tables):
+    plus, neg = tables
+    found = [v for v in _table_violations(plus, neg, "here") if v.startswith("associativity")]
+    assert found == associativity_by_triples(plus, "here")
 
 
 def test_chain_limit():

@@ -104,6 +104,9 @@ def test_public_constructor_validates():
     for bad in [(), (1,), (1, 2, 3)]:
         with pytest.raises(SchemaError):
             GroupElement(g, bad)
+    for not_a_group in [g.base, None, (1, 1)]:
+        with pytest.raises(SchemaError, match="expected a Specker group"):
+            GroupElement(not_a_group, (0, 0))
     assert g.element((INT_LIMIT, -INT_LIMIT)).values == (INT_LIMIT, -INT_LIMIT)
 
 
@@ -508,7 +511,8 @@ def test_groups_and_lhoms_compare_and_hash_through_what_they_wrap():
 def test_apply_lhom_tests_the_element_once_against_its_domain():
     """An element of the domain's own base passes the inline test, one of an
     equal but distinct group passes the guard, and one of another group, or
-    anything else, is refused with the guard's message."""
+    anything else, is refused with the guard's message.  An element over a
+    fake group is refused where it is built."""
     x = new_space(["c1", "c2"], [1, 2])
     y = new_space(["d"], [2])
     h = LHom(BmsMorphism(y, x, ((1, 1),)))        # SpeckerGroup(x) -> SpeckerGroup(y)
@@ -526,9 +530,8 @@ def test_apply_lhom_tests_the_element_once_against_its_domain():
     fake = SimpleNamespace(group=SpeckerGroup(x), values=(4, 7))
     with pytest.raises(SchemaError, match="expected a group element, got namespace"):
         apply_lhom(h, fake)
-    over_a_fake_group = GroupElement(SimpleNamespace(base=x), (4, 7))
-    with pytest.raises(SchemaError, match="belongs to a different group"):
-        apply_lhom(h, over_a_fake_group)
+    with pytest.raises(SchemaError, match="expected a Specker group, got namespace"):
+        GroupElement(SimpleNamespace(base=x), (4, 7))
 
 
 def test_hyperarch_witness_refuses_a_negative_second_argument():
